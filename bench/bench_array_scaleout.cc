@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -42,16 +42,6 @@ nodeFlash()
     ssd::FlashParams p;
     p.channels = 8;
     return p;
-}
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
 }
 
 struct CellResult
@@ -79,32 +69,24 @@ runCell(std::size_t nodes, int depth)
                                                        kFeatures));
     std::uint64_t model = ds.loadModel(dotModel(kDim));
 
-    std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::vector<double> latencies;
     double merge_sum = 0.0;
     double bytes_sum = 0.0;
 
-    std::function<void()> submitOne = [&] {
-        std::vector<float> qfv =
-            gen.featureAt(submitted % kFeatures);
-        std::uint64_t qid = ds.query(qfv, 5, model, db, 0, 0);
-        ++submitted;
-        ds.onComplete(qid, [&](const core::QueryResult &res) {
+    double t0 = ds.simulatedSeconds();
+    bench::closedLoop(
+        ds, depth, kQueriesPerCell,
+        [&](std::uint64_t i) {
+            return ds.query(gen.featureAt(i % kFeatures), 5, model, db,
+                            0, 0);
+        },
+        [&](const core::QueryResult &res) {
             latencies.push_back(res.latencySeconds);
             merge_sum += res.mergeSeconds;
             bytes_sum += static_cast<double>(res.interNodeBytes);
             ++completed;
-            if (submitted < kQueriesPerCell)
-                submitOne();
         });
-    };
-
-    double t0 = ds.simulatedSeconds();
-    for (int i = 0; i < depth &&
-                    submitted < kQueriesPerCell;
-         ++i)
-        submitOne();
     ds.drain();
     double span = ds.simulatedSeconds() - t0;
 

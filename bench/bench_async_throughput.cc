@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -30,16 +30,6 @@ namespace {
 constexpr std::int64_t kDim = 128;
 constexpr std::uint64_t kFeatures = 20'000;
 constexpr std::uint64_t kQueriesPerDepth = 256;
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 /** Closed-loop run: keep `depth` queries in flight until `total`
  *  have completed. @return simulated queries/second. */
@@ -55,28 +45,20 @@ runDepth(int depth, std::uint64_t total, double *mean_latency)
                                                        kFeatures));
     std::uint64_t model = ds.loadModel(dotModel(kDim));
 
-    std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     double latency_sum = 0.0;
 
-    // Each completion immediately submits the next query — the
-    // classic closed-loop load generator, in simulated time.
-    std::function<void()> submitOne = [&] {
-        std::vector<float> qfv =
-            gen.featureAt(submitted % kFeatures);
-        std::uint64_t qid = ds.query(qfv, 5, model, db, 0, 0);
-        ++submitted;
-        ds.onComplete(qid, [&](const core::QueryResult &res) {
+    double t0 = ds.simulatedSeconds();
+    bench::closedLoop(
+        ds, depth, total,
+        [&](std::uint64_t i) {
+            return ds.query(gen.featureAt(i % kFeatures), 5, model, db,
+                            0, 0);
+        },
+        [&](const core::QueryResult &res) {
             latency_sum += res.latencySeconds;
             ++completed;
-            if (submitted < total)
-                submitOne();
         });
-    };
-
-    double t0 = ds.simulatedSeconds();
-    for (int i = 0; i < depth && submitted < total; ++i)
-        submitOne();
     ds.drain();
     double span = ds.simulatedSeconds() - t0;
     if (mean_latency)

@@ -9,14 +9,19 @@
 #ifndef DEEPSTORE_BENCH_BENCH_COMMON_H
 #define DEEPSTORE_BENCH_BENCH_COMMON_H
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/table.h"
+#include "core/deepstore.h"
 
 namespace deepstore::bench {
 
@@ -37,6 +42,61 @@ inline void
 section(const std::string &title)
 {
     std::printf("\n--- %s ---\n", title.c_str());
+}
+
+/** Percentile `p` in [0, 1] of `v`, interpolated linearly between
+ *  the two closest ranks (0 for an empty sample). */
+inline double
+percentile(std::vector<double> v, double p)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    double idx = p * static_cast<double>(v.size() - 1);
+    auto lo = static_cast<std::size_t>(idx);
+    std::size_t hi = std::min(lo + 1, v.size() - 1);
+    double frac = idx - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+/**
+ * Closed-loop load generator in simulated time: submits `depth`
+ * queries, then every completion runs `on_result` and submits the
+ * next query until `total` have been submitted. `submit(i)` issues
+ * the i-th query and returns its id. Only callbacks are armed here;
+ * the caller advances simulated time (drain(), step(), appendDB()),
+ * so whatever the two callables capture must outlive that stepping.
+ */
+inline void
+closedLoop(core::DeepStore &ds, int depth, std::uint64_t total,
+           std::function<std::uint64_t(std::uint64_t)> submit,
+           std::function<void(const core::QueryResult &)> on_result)
+{
+    struct Loop
+    {
+        core::DeepStore &ds;
+        std::uint64_t total;
+        std::function<std::uint64_t(std::uint64_t)> submit;
+        std::function<void(const core::QueryResult &)> onResult;
+        std::uint64_t submitted = 0;
+
+        static void
+        next(const std::shared_ptr<Loop> &loop)
+        {
+            std::uint64_t qid = loop->submit(loop->submitted);
+            ++loop->submitted;
+            loop->ds.onComplete(
+                qid, [loop](const core::QueryResult &res) {
+                    loop->onResult(res);
+                    if (loop->submitted < loop->total)
+                        next(loop);
+                });
+        }
+    };
+    auto loop = std::make_shared<Loop>(
+        Loop{ds, total, std::move(submit), std::move(on_result)});
+    for (int i = 0; i < depth && loop->submitted < total; ++i)
+        Loop::next(loop);
 }
 
 /**

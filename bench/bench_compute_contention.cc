@@ -32,34 +32,12 @@
 #include "common/table.h"
 #include "core/deepstore.h"
 #include "core/query_model.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
 
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-nn::ModelBundle
-mlpModel(std::int64_t dim, int layers)
-{
-    nn::Model m("bench-mlp", dim, false);
-    m.addLayer(nn::Layer::elementWise("fuse", nn::EwOp::Multiply,
-                                      dim));
-    for (int i = 0; i < layers; ++i)
-        m.addLayer(nn::Layer::fc("fc" + std::to_string(i), dim,
-                                 dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 struct RegimeResult
 {

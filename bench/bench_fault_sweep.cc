@@ -16,9 +16,7 @@
  * property the scheduler is designed for.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -26,6 +24,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -36,16 +35,6 @@ constexpr std::int64_t kDim = 64;
 constexpr std::uint64_t kFeatures = 8'000;
 constexpr std::uint64_t kQueriesPerCell = 64;
 constexpr std::uint64_t kFaultSeed = 20'260'806;
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 struct CellResult {
     std::vector<double> latencies; // seconds, one per query
@@ -69,40 +58,20 @@ runCell(double fault_rate, int depth)
     std::uint64_t model = ds.loadModel(dotModel(kDim));
 
     CellResult out;
-    std::uint64_t submitted = 0;
-    std::function<void()> submitOne = [&] {
-        std::vector<float> qfv =
-            gen.featureAt(submitted % kFeatures);
-        std::uint64_t qid = ds.query(qfv, 5, model, db, 0, 0);
-        ++submitted;
-        ds.onComplete(qid, [&](const core::QueryResult &res) {
+    bench::closedLoop(
+        ds, depth, kQueriesPerCell,
+        [&](std::uint64_t i) {
+            return ds.query(gen.featureAt(i % kFeatures), 5, model, db,
+                            0, 0);
+        },
+        [&](const core::QueryResult &res) {
             out.latencies.push_back(res.latencySeconds);
             out.coverage_sum += res.coverageFraction;
             if (res.outcome != core::QueryOutcome::Success)
                 ++out.degraded;
-            if (submitted < kQueriesPerCell)
-                submitOne();
         });
-    };
-    for (int i = 0; i < depth &&
-                    submitted < kQueriesPerCell;
-         ++i)
-        submitOne();
     ds.drain();
     return out;
-}
-
-double
-percentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    double idx = p * static_cast<double>(v.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    std::size_t hi = std::min(lo + 1, v.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 } // namespace
@@ -129,8 +98,8 @@ main()
     for (double rate : {0.0, 1e-4, 1e-3, 1e-2, 5e-2, 0.25}) {
         for (int depth : {1, 4, 16}) {
             CellResult cell = runCell(rate, depth);
-            double p50 = percentile(cell.latencies, 0.50);
-            double p99 = percentile(cell.latencies, 0.99);
+            double p50 = bench::percentile(cell.latencies, 0.50);
+            double p99 = bench::percentile(cell.latencies, 0.99);
             double cov = cell.coverage_sum /
                          static_cast<double>(cell.latencies.size());
             t.addRow({TextTable::num(rate, 4),

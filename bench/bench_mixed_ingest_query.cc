@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -32,16 +32,6 @@ constexpr std::int64_t kDim = 128;        // 512 B features
 constexpr std::uint64_t kFeatures = 20'000;
 constexpr std::uint64_t kQueries = 64;
 constexpr std::uint64_t kIngestBatch = 1'024; // 32 pages per append
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 struct RunResult
 {
@@ -76,20 +66,21 @@ runMixed(int depth, bool ingest)
                                                        kFeatures));
     std::uint64_t model = ds.loadModel(dotModel(kDim));
 
-    std::uint64_t submitted = 0;
     RunResult r;
     std::uint64_t completed = 0;
     double latency_sum = 0.0;
     double t_last = 0.0;
 
-    std::function<void()> submitOne = [&] {
-        std::vector<float> qfv = gen.featureAt(submitted % kFeatures);
-        // Query the original range only, so the scan work stays
-        // constant while the database grows underneath it.
-        std::uint64_t qid =
-            ds.query(qfv, 5, model, db, 0, kFeatures);
-        ++submitted;
-        ds.onComplete(qid, [&](const core::QueryResult &res) {
+    const double t0 = ds.simulatedSeconds();
+    bench::closedLoop(
+        ds, depth, kQueries,
+        [&](std::uint64_t i) {
+            // Query the original range only, so the scan work stays
+            // constant while the database grows underneath it.
+            return ds.query(gen.featureAt(i % kFeatures), 5, model, db,
+                            0, kFeatures);
+        },
+        [&](const core::QueryResult &res) {
             latency_sum += res.latencySeconds;
             r.maxLatency = std::max(r.maxLatency,
                                     res.latencySeconds);
@@ -98,16 +89,7 @@ runMixed(int depth, bool ingest)
             r.nocWaitSum += res.nocWaitSeconds;
             ++completed;
             t_last = ds.simulatedSeconds();
-            if (submitted < kQueries)
-                submitOne();
         });
-    };
-
-    const double t0 = ds.simulatedSeconds();
-    for (int i = 0; i < depth &&
-                    submitted < kQueries;
-         ++i)
-        submitOne();
 
     std::uint64_t appended = 0;
     while (completed < kQueries) {

@@ -20,9 +20,7 @@
  * p99 at the default cap must stay within 2x the baseline.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -30,6 +28,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -41,16 +40,6 @@ constexpr std::uint64_t kFeatures = 8'000;
 constexpr std::uint64_t kQueriesPerCell = 48;
 constexpr std::uint64_t kFaultSeed = 20'260'808;
 constexpr double kDefaultCap = 1.6e9; // RepairConfig default
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 struct CellResult
 {
@@ -105,20 +94,16 @@ runCell(double repair_cap, double fault_rate)
     }
 
     CellResult out;
-    std::uint64_t submitted = 0;
-    std::function<void()> submitOne = [&] {
-        std::vector<float> qfv = gen.featureAt(submitted % kFeatures);
-        std::uint64_t qid = ds.query(qfv, 5, model, db, 0, 0);
-        ++submitted;
-        ds.onComplete(qid, [&](const core::QueryResult &res) {
+    bench::closedLoop(
+        ds, 4, kQueriesPerCell,
+        [&](std::uint64_t i) {
+            return ds.query(gen.featureAt(i % kFeatures), 5, model, db,
+                            0, 0);
+        },
+        [&](const core::QueryResult &res) {
             out.latencies.push_back(res.latencySeconds);
             out.coverage_sum += res.coverageFraction;
-            if (submitted < kQueriesPerCell)
-                submitOne();
         });
-    };
-    for (int i = 0; i < 4 && submitted < kQueriesPerCell; ++i)
-        submitOne();
     ds.drain();
     // Let the background engines finish (repair queue + scrub pass).
     while (ds.step()) {
@@ -139,19 +124,6 @@ runCell(double repair_cap, double fault_rate)
     return out;
 }
 
-double
-percentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    double idx = p * static_cast<double>(v.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    std::size_t hi = std::min(lo + 1, v.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
 } // namespace
 
 int
@@ -166,7 +138,7 @@ main()
             std::to_string(kQueriesPerCell) + " queries/cell)");
 
     CellResult base = runCell(0.0, 0.0);
-    const double base_p99 = percentile(base.latencies, 0.99);
+    const double base_p99 = bench::percentile(base.latencies, 0.99);
 
     bench::JsonReport report("scrub_repair");
     report.meta("dim", static_cast<double>(kDim))
@@ -175,7 +147,7 @@ main()
         .meta("faultSeed", static_cast<double>(kFaultSeed))
         .meta("defaultCapBytesPerSecond", kDefaultCap)
         .meta("baselineP50Seconds",
-              percentile(base.latencies, 0.50))
+              bench::percentile(base.latencies, 0.50))
         .meta("baselineP99Seconds", base_p99);
 
     TextTable t({"cap (GB/s)", "fault rate", "p50 (ms)", "p99 (ms)",
@@ -183,8 +155,8 @@ main()
     for (double cap : {0.4e9, kDefaultCap, 6.4e9}) {
         for (double rate : {0.0, 0.005}) {
             CellResult cell = runCell(cap, rate);
-            double p50 = percentile(cell.latencies, 0.50);
-            double p99 = percentile(cell.latencies, 0.99);
+            double p50 = bench::percentile(cell.latencies, 0.50);
+            double p99 = bench::percentile(cell.latencies, 0.99);
             double mean_cov =
                 cell.coverage_sum /
                 static_cast<double>(cell.latencies.size());

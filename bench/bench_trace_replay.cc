@@ -24,6 +24,7 @@
 #include "core/query_model.h"
 #include "core/trace_replay.h"
 #include "host/baseline.h"
+#include "support/fixtures.h"
 
 using namespace deepstore;
 
@@ -60,16 +61,6 @@ makeService(bool deepstore, const workloads::AppInfo &app,
             host::voltaSpec().effectiveFlops;
     }
     return s;
-}
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(
-        nn::Layer::elementWise("dot", nn::EwOp::DotProduct, dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
 }
 
 void

@@ -32,6 +32,7 @@
 #include "bench_common.h"
 #include "common/table.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/feature_gen.h"
 
 using namespace deepstore;
@@ -58,16 +59,6 @@ constexpr std::uint64_t kFaultSeed = 20'260'806;
  *  of the small geometry; the database lives in superblock 0). */
 constexpr std::uint64_t kScratchLpn = 64;
 constexpr std::uint64_t kScratchPages = 64;
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("bench-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 core::DeepStoreConfig
 agedDriveConfig()
@@ -104,22 +95,9 @@ agedDriveConfig()
 double
 stat(const core::DeepStore &ds, const std::string &name)
 {
-    const Stat *s =
-        const_cast<core::DeepStore &>(ds).ssd().stats().find(name);
+    auto &dev = const_cast<core::DeepStore &>(ds).array().node(0).device();
+    const Stat *s = dev.stats().find(name);
     return s ? s->value() : 0.0;
-}
-
-double
-percentile(std::vector<double> v, double p)
-{
-    if (v.empty())
-        return 0.0;
-    std::sort(v.begin(), v.end());
-    double idx = p * static_cast<double>(v.size() - 1);
-    auto lo = static_cast<std::size_t>(idx);
-    std::size_t hi = std::min(lo + 1, v.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
 }
 
 } // namespace
@@ -160,12 +138,12 @@ main()
     // superblock.
     auto churn_cycle = [&]() {
         bool done = false;
-        ds.ssd().hostWrite(kScratchLpn, kScratchPages,
+        ds.array().node(0).device().hostWrite(kScratchLpn, kScratchPages,
                            [&](Tick) { done = true; });
         while (!done && ds.step()) {
         }
         done = false;
-        ds.ssd().hostTrim(kScratchLpn, kScratchPages,
+        ds.array().node(0).device().hostTrim(kScratchLpn, kScratchPages,
                           [&](Tick) { done = true; });
         while (!done && ds.step()) {
         }
@@ -188,9 +166,9 @@ main()
             // with a floor on the free pool so the drive never goes
             // device-full.
             int cyc = 0;
-            while (ds.ssd().ftl().retiredSuperblocks() <
+            while (ds.array().node(0).device().ftl().retiredSuperblocks() <
                        kTargetRetired &&
-                   ds.ssd().ftl().freeSuperblocks() >
+                   ds.array().node(0).device().ftl().freeSuperblocks() >
                        kMinFreeSuperblocks &&
                    cyc < kEndOfLifeCycleCap) {
                 churn_cycle();
@@ -222,8 +200,8 @@ main()
             std::max(writes, 1.0);
         double relocations = stat(ds, "ftl.relocations");
         double retired = stat(ds, "ftl.retiredSuperblocks");
-        double p50 = percentile(lat, 0.50);
-        double p99 = percentile(lat, 0.99);
+        double p50 = bench::percentile(lat, 0.50);
+        double p99 = bench::percentile(lat, 0.99);
         double cov =
             cov_sum / static_cast<double>(kQueriesPerPhase);
 

@@ -10,6 +10,14 @@
 
 namespace deepstore::core {
 
+namespace {
+
+/** Page count above which a database write/read uses the closed-form
+ *  bulk timing instead of per-page flash events. */
+constexpr std::uint64_t kEventSimPageLimit = 65536;
+
+} // namespace
+
 DeepStore::DeepStore(DeepStoreConfig config)
     : config_(std::move(config)), ledger_(events_),
       model_(config_.flash)
@@ -61,7 +69,7 @@ DeepStore::writePagesTimedOn(SsdNode &node, std::uint64_t lpn_start,
                              TimeComponent component)
 {
     DS_ASSERT(pages > 0);
-    if (pages <= config_.eventSimPageLimit) {
+    if (pages <= kEventSimPageLimit) {
         Tick start = events_.now();
         bool done = false;
         node.hostWrite(lpn_start, pages,
@@ -167,7 +175,7 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
     std::uint64_t pages = 0;
     for (const auto &seg : segs)
         pages += seg.pages;
-    if (pages > 0 && pages <= config_.eventSimPageLimit) {
+    if (pages > 0 && pages <= kEventSimPageLimit) {
         Tick t0 = events_.now();
         bool done = false;
         std::size_t remaining = segs.size();
@@ -425,11 +433,8 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         std::vector<float> q = qfv;
         auto done = [this, qid, k, mp, source, cached,
                      q = std::move(q)](const ArrayQueryStats &ast) {
-            QueryResult res;
-            res.queryId = qid;
-            res.cacheHit = true;
-            res.outcome = ast.outcome;
-            res.coverageFraction = ast.coverageFraction;
+            QueryResult res =
+                settledResult(qid, ast, TimeComponent::CacheHit);
             if (res.outcome == QueryOutcome::Success) {
                 res.featuresScanned = cached.size();
                 // Re-run the SCN on only the cached top-K features.
@@ -442,23 +447,6 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                 }
                 res.topK = topk.results();
             }
-            res.latencySeconds =
-                ticksToSeconds(ast.completeTick - ast.submitTick);
-            const double probe_s = ticksToSeconds(ast.run.probeTicks);
-            res.qcProbeSeconds = probe_s;
-            res.computeStallSeconds =
-                ticksToSeconds(ast.run.computeStallTicks);
-            res.backpressureSeconds =
-                ticksToSeconds(ast.run.backpressureTicks);
-            res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
-            res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
-            res.interNodeBytes = ast.interNodeBytes;
-            res.nodesParticipating = ast.nodesParticipating;
-            res.redispatches = ast.redispatches;
-            ledger_.attribute(probe_s, TimeComponent::QcLookup);
-            ledger_.attribute(
-                std::max(0.0, res.latencySeconds - probe_s),
-                TimeComponent::CacheHit);
             finishQuery(qid, std::move(res));
         };
         array_->submitSingle(qid, node_i, std::move(sub),
@@ -477,11 +465,7 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
     auto done = [this, qid, this_query, k, mp, dbmd, db_start, db_end,
                  n_accel = perf.placement.numAccelerators, source,
                  q = std::move(q)](const ArrayQueryStats &ast) {
-        QueryResult res;
-        res.queryId = qid;
-        res.cacheHit = false;
-        res.outcome = ast.outcome;
-        res.coverageFraction = ast.coverageFraction;
+        QueryResult res = settledResult(qid, ast, TimeComponent::Scan);
         // Degraded queries report the top-K over the prefix of the
         // range that was actually scanned; partial results never
         // seed the Query Cache.
@@ -496,23 +480,6 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                          source);
         if (queryCache_ && res.outcome == QueryOutcome::Success)
             queryCache_->insert(this_query, res.topK);
-        res.latencySeconds =
-            ticksToSeconds(ast.completeTick - ast.submitTick);
-        const double probe_s = ticksToSeconds(ast.run.probeTicks);
-        res.qcProbeSeconds = probe_s;
-        res.computeStallSeconds =
-            ticksToSeconds(ast.run.computeStallTicks);
-        res.backpressureSeconds =
-            ticksToSeconds(ast.run.backpressureTicks);
-        res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
-        res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
-        res.interNodeBytes = ast.interNodeBytes;
-        res.nodesParticipating = ast.nodesParticipating;
-        res.redispatches = ast.redispatches;
-        ledger_.attribute(probe_s, TimeComponent::QcLookup);
-        ledger_.attribute(
-            std::max(0.0, res.latencySeconds - probe_s),
-            TimeComponent::Scan);
         finishQuery(qid, std::move(res));
     };
     array_->scatter(qid, db_id, db_start, db_end, scatter_bytes,
@@ -589,6 +556,33 @@ DeepStore::onComplete(std::uint64_t query_id,
         fatal("unknown query_id %llu",
               static_cast<unsigned long long>(query_id));
     completionCallbacks_[query_id].push_back(std::move(cb));
+}
+
+QueryResult
+DeepStore::settledResult(std::uint64_t query_id,
+                         const ArrayQueryStats &ast,
+                         TimeComponent component)
+{
+    QueryResult res;
+    res.queryId = query_id;
+    res.cacheHit = component == TimeComponent::CacheHit;
+    res.outcome = ast.outcome;
+    res.coverageFraction = ast.coverageFraction;
+    res.latencySeconds =
+        ticksToSeconds(ast.completeTick - ast.submitTick);
+    const double probe_s = ticksToSeconds(ast.run.probeTicks);
+    res.qcProbeSeconds = probe_s;
+    res.computeStallSeconds = ticksToSeconds(ast.run.computeStallTicks);
+    res.backpressureSeconds = ticksToSeconds(ast.run.backpressureTicks);
+    res.nocWaitSeconds = ticksToSeconds(ast.nocWaitTicks);
+    res.mergeSeconds = ticksToSeconds(ast.mergeTicks);
+    res.interNodeBytes = ast.interNodeBytes;
+    res.nodesParticipating = ast.nodesParticipating;
+    res.redispatches = ast.redispatches;
+    ledger_.attribute(probe_s, TimeComponent::QcLookup);
+    ledger_.attribute(std::max(0.0, res.latencySeconds - probe_s),
+                      component);
+    return res;
 }
 
 void

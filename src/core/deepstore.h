@@ -56,9 +56,6 @@ struct DeepStoreConfig
     /** Default accelerator level for queries (channel level is the
      *  paper's recommended design). */
     Level defaultLevel = Level::ChannelLevel;
-    /** Page-count threshold above which database writes/reads use the
-     *  closed-form timing instead of per-page events. */
-    std::uint64_t eventSimPageLimit = 65536;
     /** Max concurrent scan shards per accelerator unit (the
      *  interleaving degree of the async scheduler). */
     std::uint32_t maxResidentScansPerAccelerator = 8;
@@ -265,20 +262,12 @@ class DeepStore
     }
 
     const DeepStoreModel &model() const { return model_; }
-    /** Node 0's raw device (single-node compatibility shim for
-     *  tests/benches; engine code goes through the array). */
-    ssd::Ssd &ssd() { return array_->node(0).device(); }
     sim::EventQueue &events() { return events_; }
     QueryCache *queryCache() { return queryCache_.get(); }
-    /** Node 0's scheduler (single-node compatibility shim; on a
-     *  1-node array every query id is a node-0 sub-query id). */
-    const QueryScheduler &scheduler() const
-    {
-        return array_->node(0).scheduler();
-    }
 
     /** The sharded multi-SSD array behind this engine (a 1-node
-     *  array by default). */
+     *  array by default; there every query id is a node-0
+     *  sub-query id). */
     ArrayCoordinator &array() { return *array_; }
     const ArrayCoordinator &array() const { return *array_; }
 
@@ -393,6 +382,14 @@ class DeepStore
              std::uint64_t db_start, std::uint64_t db_end,
              std::uint32_t n_accel,
              const std::shared_ptr<FeatureSource> &source) const;
+
+    /** A terminal query's result with every field the coordinator's
+     *  stats determine. Attributes the QC probe to QcLookup and the
+     *  rest of the latency to `component` (CacheHit or Scan); the
+     *  caller fills featuresScanned and topK. */
+    QueryResult settledResult(std::uint64_t query_id,
+                              const ArrayQueryStats &ast,
+                              TimeComponent component);
 
     void finishQuery(std::uint64_t query_id, QueryResult res);
 

@@ -66,17 +66,7 @@ Ssd::syncLinkStats()
 Tick
 Ssd::hostDispatchTick() const
 {
-    // Regular I/O gets a busy signal while the accelerators own the
-    // read path (§4.5); the command re-dispatches after the window.
-    Tick dispatch =
-        events_.now() + secondsToTicks(params_.commandOverhead);
-    return std::max(dispatch, accelBusyUntil_);
-}
-
-void
-Ssd::setAcceleratorWindow(Tick until)
-{
-    accelBusyUntil_ = std::max(accelBusyUntil_, until);
+    return events_.now() + secondsToTicks(params_.commandOverhead);
 }
 
 void
@@ -403,7 +393,6 @@ Ssd::powerLoss()
         c->powerLoss();
     dram_.reset(events_.now());
     externalBusyUntil_ = events_.now();
-    accelBusyUntil_ = 0;
 }
 
 } // namespace deepstore::ssd

@@ -115,20 +115,6 @@ class Ssd
     void syncLinkStats();
 
     /**
-     * Mark the flash read path as owned by the in-storage
-     * accelerators until the given tick (§4.5 "Accelerator
-     * Placement": the read path is multiplexed between regular reads
-     * and the accelerator response; during query operations the
-     * controller answers regular I/O with a busy signal). Host reads
-     * and writes dispatched inside the window are deferred to its
-     * end.
-     */
-    void setAcceleratorWindow(Tick until);
-
-    /** End of the current accelerator-owned window (0 if none). */
-    Tick acceleratorWindowEnd() const { return accelBusyUntil_; }
-
-    /**
      * Whole-device power loss at the current tick: every in-flight
      * background relocation is aborted (the FTL mapping never moved,
      * so the media stays crash-consistent), all plane/bus
@@ -174,7 +160,6 @@ class Ssd
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
         payloads_;
     Tick externalBusyUntil_ = 0;
-    Tick accelBusyUntil_ = 0;
     /** Shared SSD DRAM channel (see dramLink()). */
     sim::BandwidthLink dram_;
 

@@ -33,27 +33,10 @@
 #include "common/logging.h"
 #include "core/deepstore.h"
 #include "core/nvme_front.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 /** n identical default-geometry nodes. */
 std::vector<ssd::FlashParams>
@@ -78,8 +61,8 @@ TEST(ArrayPassthrough, ExplicitOneNodeArrayReproducesGoldenTicks)
     std::uint64_t model = ds.loadModel(dotModel(32));
     auto q = randomDb(32, 1, 99)->featureAt(0);
     std::uint64_t qid = ds.querySync(q, 4, model, db, 0, 0);
-    EXPECT_EQ(ds.scheduler().submitTick(qid), 522480000u);
-    EXPECT_EQ(ds.scheduler().completeTick(qid), 598859200u);
+    EXPECT_EQ(ds.array().node(0).scheduler().submitTick(qid), 522480000u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(qid), 598859200u);
     const QueryResult &res = ds.getResults(qid);
     EXPECT_EQ(res.outcome, QueryOutcome::Success);
     EXPECT_DOUBLE_EQ(res.coverageFraction, 1.0);
@@ -103,9 +86,9 @@ TEST(ArrayPassthrough, ExplicitOneNodeArrayMultiLevelGoldenTicks)
     std::uint64_t c = ds.query(randomDb(64, 1, 103)->featureAt(0), 4,
                                model, db, 0, 0, Level::SsdLevel);
     ds.drain();
-    EXPECT_EQ(ds.scheduler().completeTick(a), 597632000u);
-    EXPECT_EQ(ds.scheduler().completeTick(b), 631752000u);
-    EXPECT_EQ(ds.scheduler().completeTick(c), 740214800u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(a), 597632000u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(b), 631752000u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(c), 740214800u);
     EXPECT_EQ(ds.events().now(), 740214800u);
 }
 
@@ -161,9 +144,9 @@ TEST(ArrayPassthrough, ExplicitOneNodeArrayGcActiveGoldenTicks)
     EXPECT_EQ(ds.getResults(q1).outcome, QueryOutcome::Success);
     EXPECT_EQ(ds.getResults(q2).outcome, QueryOutcome::Success);
     EXPECT_EQ(ds.getResults(q3).outcome, QueryOutcome::Success);
-    EXPECT_EQ(ds.scheduler().completeTick(q1), 2382739200u);
-    EXPECT_EQ(ds.scheduler().completeTick(q2), 2363238400u);
-    EXPECT_EQ(ds.scheduler().completeTick(q3), 11298489800u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q1), 2382739200u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q2), 2363238400u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q3), 11298489800u);
     EXPECT_EQ(ds.events().now(), 11298489800u);
 }
 

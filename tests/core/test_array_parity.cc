@@ -19,27 +19,10 @@
 #include "common/logging.h"
 #include "core/deepstore.h"
 #include "core/query_model.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 TEST(ArrayAnalyticParity, FourNodeScatterScanMergeWithinTwoPercent)
 {

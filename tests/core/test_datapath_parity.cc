@@ -27,34 +27,10 @@
 #include "core/accel_pipeline.h"
 #include "core/deepstore.h"
 #include "core/query_model.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-/** Pair combiner + `layers` square FC layers: compute-heavy, fully
- *  resident at dim 512 (3 MiB of weights). */
-nn::ModelBundle
-mlpModel(std::int64_t dim, int layers)
-{
-    nn::Model m("mlp-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("fuse", nn::EwOp::Multiply,
-                                      dim));
-    for (int i = 0; i < layers; ++i)
-        m.addLayer(nn::Layer::fc("fc" + std::to_string(i), dim, dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
 
 /** One fat FC (dim x out): ~9.8 MiB of weights at 4096x600 —
  *  overflows the channel level's resident window, so the excess
@@ -68,13 +44,6 @@ fatModel(std::int64_t dim, std::int64_t out)
     m.addLayer(nn::Layer::fc("fc", dim, out));
     auto w = nn::ModelWeights::random(m, 1);
     return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
 }
 
 // ---- live engine vs standalone pipeline --------------------------
@@ -107,11 +76,11 @@ TEST(UnifiedDatapath, LiveScanMatchesStandalonePipelineTickForTick)
 
     std::uint64_t qid = ds.querySync(src->featureAt(2), 4, model, db,
                                      0, 0, Level::ChannelLevel);
-    const QueryRunStats rs = ds.scheduler().runStats(qid);
+    const QueryScheduler &sched = ds.array().node(0).scheduler();
+    const QueryRunStats rs = sched.runStats(qid);
     EXPECT_GT(rs.reduceTicks, 0u);
-    const Tick live_ticks = ds.scheduler().completeTick(qid) -
-                            ds.scheduler().submitTick(qid) -
-                            rs.reduceTicks;
+    const Tick live_ticks = sched.completeTick(qid) -
+                            sched.submitTick(qid) - rs.reduceTicks;
 
     // The same scan on a standalone controller and private queue.
     sim::EventQueue events;
@@ -161,7 +130,7 @@ scanLatencyUnderStorm(std::optional<std::uint64_t> storm_lpn,
 
     if (storm_lpn) {
         for (int i = 0; i < storm_reads; ++i)
-            ds.ssd().hostRead(*storm_lpn, 1, [](Tick) {});
+            ds.array().node(0).device().hostRead(*storm_lpn, 1, [](Tick) {});
     }
     // Submit the query a little into the storm so its first flash
     // read queues behind in-flight host reads (if any share its
@@ -341,8 +310,9 @@ sweepRun(std::uint64_t seed)
     std::uint64_t qid = ds.querySync(src->featureAt(seed % features),
                                      5, model, db, 0, 0,
                                      Level::ChannelLevel);
-    QueryRunStats rs = ds.scheduler().runStats(qid);
-    return {ds.scheduler().completeTick(qid), rs.computeStallTicks,
+    const QueryScheduler &sched = ds.array().node(0).scheduler();
+    QueryRunStats rs = sched.runStats(qid);
+    return {sched.completeTick(qid), rs.computeStallTicks,
             rs.backpressureTicks, rs.reduceTicks};
 }
 

@@ -8,29 +8,11 @@
 
 #include "common/logging.h"
 #include "core/deepstore.h"
+#include "support/fixtures.h"
 #include "workloads/apps.h"
 
 namespace deepstore::core {
 namespace {
-
-/** A pure dot-product SCN: top-K by score == top-K by inner product,
- *  so results can be verified against brute force. */
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 DeepStoreConfig
 smallConfig()

@@ -24,27 +24,10 @@
 #include <gtest/gtest.h>
 
 #include "core/deepstore.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 /**
  * One fixed workload under the full fault stack, parameterized only
@@ -104,7 +87,7 @@ fingerprint(std::uint64_t seed)
         const QueryResult &r = ds.getResults(q);
         os << q << ":" << toString(r.outcome) << ":"
            << r.featuresScanned << ":"
-           << ds.scheduler().completeTick(q) << "\n";
+           << ds.array().node(0).scheduler().completeTick(q) << "\n";
     }
     ds.dumpStats(os);
     return os.str();

@@ -24,27 +24,10 @@
 #include "common/logging.h"
 #include "core/deepstore.h"
 #include "core/nvme_front.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 /** One full run under `cfg`: writeDB + loadModel + one sync query.
  *  Returns the query id; `ds` is left drained. */
@@ -72,7 +55,7 @@ runOne(const DeepStoreConfig &cfg, std::int64_t dim,
     RunResult r;
     r.coverage = res.coverageFraction;
     r.outcome = res.outcome;
-    r.completeTick = ds.scheduler().completeTick(qid);
+    r.completeTick = ds.array().node(0).scheduler().completeTick(qid);
     r.featuresScanned = res.featuresScanned;
     r.topK = res.topK.size();
     std::ostringstream os;
@@ -96,8 +79,9 @@ TEST(FaultFree, TickIdenticalToGoldenPrePRRun)
         std::uint64_t model = ds.loadModel(dotModel(32));
         auto q = randomDb(32, 1, 99)->featureAt(0);
         std::uint64_t qid = ds.querySync(q, 4, model, db, 0, 0);
-        EXPECT_EQ(ds.scheduler().submitTick(qid), 522480000u);
-        EXPECT_EQ(ds.scheduler().completeTick(qid), 598859200u);
+        EXPECT_EQ(ds.array().node(0).scheduler().submitTick(qid), 522480000u);
+        EXPECT_EQ(ds.array().node(0).scheduler().completeTick(qid),
+                  598859200u);
         EXPECT_EQ(ds.getResults(qid).outcome, QueryOutcome::Success);
         EXPECT_DOUBLE_EQ(ds.getResults(qid).coverageFraction, 1.0);
     }
@@ -116,9 +100,9 @@ TEST(FaultFree, TickIdenticalToGoldenPrePRRun)
             ds.query(randomDb(64, 1, 103)->featureAt(0), 4, model,
                      db, 0, 0, Level::SsdLevel);
         ds.drain();
-        EXPECT_EQ(ds.scheduler().completeTick(a), 597632000u);
-        EXPECT_EQ(ds.scheduler().completeTick(b), 631752000u);
-        EXPECT_EQ(ds.scheduler().completeTick(c), 740214800u);
+        EXPECT_EQ(ds.array().node(0).scheduler().completeTick(a), 597632000u);
+        EXPECT_EQ(ds.array().node(0).scheduler().completeTick(b), 631752000u);
+        EXPECT_EQ(ds.array().node(0).scheduler().completeTick(c), 740214800u);
         EXPECT_EQ(ds.events().now(), 740214800u);
     }
 }
@@ -200,7 +184,7 @@ TEST(Degradation, BlacklistedPageCostsExactlyItsFeatures)
     {
         DeepStore probe{DeepStoreConfig{}};
         std::uint64_t db = probe.writeDB(randomDb(dim, features, 11));
-        key = ssd::faultKey(probe.ssd().physicalAddress(
+        key = ssd::faultKey(probe.array().node(0).device().physicalAddress(
             probe.databaseInfo(db).startLpn));
     }
 
@@ -318,7 +302,7 @@ TEST(Cancel, AbortsInFlightAndLeavesPeerTickIdentical)
         std::uint64_t model = ds.loadModel(dotModel(32));
         std::uint64_t a =
             ds.querySync(src->featureAt(1), 4, model, db, 0, 0);
-        baseline = ds.scheduler().completeTick(a);
+        baseline = ds.array().node(0).scheduler().completeTick(a);
     }
     // A plus a cancelled B: A's completion tick must not move at
     // all — cancellation detaches B before it touches the shared
@@ -332,7 +316,7 @@ TEST(Cancel, AbortsInFlightAndLeavesPeerTickIdentical)
     EXPECT_TRUE(ds.cancel(b));
     EXPECT_EQ(ds.poll(b), QueryState::Degraded);
     ds.drain();
-    EXPECT_EQ(ds.scheduler().completeTick(a), baseline);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(a), baseline);
     EXPECT_EQ(ds.getResults(a).outcome, QueryOutcome::Success);
 
     const QueryResult &rb = ds.getResults(b);
@@ -543,7 +527,8 @@ TEST(FaultFree, GcActiveGoldenReplay)
     // read-modify-write migrations (63 pages each) and 64 erases.
     for (int pass = 0; pass < 2; ++pass) {
         bool done = false;
-        ds.ssd().hostWrite(64, 64, [&](Tick) { done = true; });
+        ds.array().node(0).device().hostWrite(
+            64, 64, [&](Tick) { done = true; });
         while (!done)
             ASSERT_TRUE(ds.step());
     }
@@ -552,7 +537,8 @@ TEST(FaultFree, GcActiveGoldenReplay)
     // frees it and the SSD issues real block erases on every plane.
     {
         bool done = false;
-        ds.ssd().hostTrim(64, 64, [&](Tick) { done = true; });
+        ds.array().node(0).device().hostTrim(
+            64, 64, [&](Tick) { done = true; });
         while (!done)
             ASSERT_TRUE(ds.step());
     }
@@ -581,9 +567,9 @@ TEST(FaultFree, GcActiveGoldenReplay)
     EXPECT_EQ(counter(stats, "flash.blockErases"), 16.0);
 
     // Golden ticks (re-pinned on the event-native datapath).
-    EXPECT_EQ(ds.scheduler().completeTick(q1), 2382739200u);
-    EXPECT_EQ(ds.scheduler().completeTick(q2), 2363238400u);
-    EXPECT_EQ(ds.scheduler().completeTick(q3), 11298489800u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q1), 2382739200u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q2), 2363238400u);
+    EXPECT_EQ(ds.array().node(0).scheduler().completeTick(q3), 11298489800u);
     EXPECT_EQ(ds.events().now(), 11298489800u);
 }
 
@@ -634,7 +620,7 @@ assertRecovered(PlRig &rig, const char *cell)
     ASSERT_TRUE(ds.poll(rig.qid).has_value());
     EXPECT_TRUE(isTerminal(*ds.poll(rig.qid)));
     ds.drain(); // must terminate: no zombie events may survive
-    EXPECT_EQ(ds.scheduler().inFlight(), 0u);
+    EXPECT_EQ(ds.array().node(0).scheduler().inFlight(), 0u);
 
     const QueryResult &res = ds.getResults(rig.qid);
     EXPECT_EQ(res.outcome, QueryOutcome::PowerLoss);
@@ -729,8 +715,8 @@ TEST(PowerLoss, ScheduledTickSweepKillsMidScanDeterministically)
     {
         PlRig rig = plSetup(DeepStoreConfig{});
         rig.ds->drain();
-        submit = rig.ds->scheduler().submitTick(rig.qid);
-        complete = rig.ds->scheduler().completeTick(rig.qid);
+        submit = rig.ds->array().node(0).scheduler().submitTick(rig.qid);
+        complete = rig.ds->array().node(0).scheduler().completeTick(rig.qid);
         ASSERT_LT(submit, complete);
     }
     const Tick span = complete - submit;
@@ -761,7 +747,7 @@ TEST(PowerLoss, ScheduledTickSweepKillsMidScanDeterministically)
         if (res.coverageFraction < 1.0)
             ++partial_cells;
         // The loss instant is the terminal tick.
-        EXPECT_EQ(rig.ds->scheduler().completeTick(rig.qid),
+        EXPECT_EQ(rig.ds->array().node(0).scheduler().completeTick(rig.qid),
                   loss_tick);
         if (prev_coverage >= 0.0 &&
             res.coverageFraction != prev_coverage)

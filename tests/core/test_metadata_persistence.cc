@@ -105,12 +105,13 @@ TEST(MetadataPersistence, RepeatedPersistsDoNotLeakBlocks)
     DeepStore ds{DeepStoreConfig{}};
     workloads::FeatureGenerator gen(64, 8, 4);
     ds.writeDB(std::make_shared<GeneratedFeatureSource>(gen, 50));
-    std::uint32_t free_before = ds.ssd().ftl().freeSuperblocks();
+    ssd::Ftl &ftl = ds.array().node(0).device().ftl();
+    std::uint32_t free_before = ftl.freeSuperblocks();
     for (int i = 0; i < 5; ++i)
         ds.persistMetadata();
     // The reserved superblock is recycled in place, costing at most
     // one superblock of capacity.
-    EXPECT_GE(ds.ssd().ftl().freeSuperblocks() + 1, free_before);
+    EXPECT_GE(ftl.freeSuperblocks() + 1, free_before);
 }
 
 TEST(MetadataPersistence, ReloadWithoutPersistIsFatal)

@@ -12,27 +12,10 @@
 
 #include "common/logging.h"
 #include "core/deepstore.h"
-#include "workloads/feature_gen.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
-
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
-std::shared_ptr<FeatureSource>
-randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
-{
-    workloads::FeatureGenerator gen(dim, 16, seed);
-    return std::make_shared<GeneratedFeatureSource>(gen, count);
-}
 
 TEST(AsyncQuery, SubmitReturnsImmediatelyAndDrainCompletes)
 {
@@ -153,9 +136,9 @@ TEST(AsyncQuery, ConcurrentSameDbQueriesInterleave)
                                 3, model2, db2, 0, 0));
     EXPECT_EQ(ds.inFlight(), static_cast<std::size_t>(n));
     // Shards stripe onto the units once their probe events fire.
-    while (ds.scheduler().residentShards() == 0 && ds.step()) {
+    while (ds.array().node(0).scheduler().residentShards() == 0 && ds.step()) {
     }
-    EXPECT_GT(ds.scheduler().residentShards(), 0u);
+    EXPECT_GT(ds.array().node(0).scheduler().residentShards(), 0u);
     ds.drain();
     double makespan = ds.simulatedSeconds() - t0;
     double speedup = static_cast<double>(n) * single / makespan;
@@ -263,9 +246,9 @@ TEST(AsyncQuery, SchedulerQueuesBeyondResidencyLimit)
             src->featureAt(static_cast<std::uint64_t>(i)), 2, model,
             db, 0, 0));
     // Step a few events so submissions stripe onto the units.
-    while (ds.scheduler().waitingShards() == 0 && ds.step()) {
+    while (ds.array().node(0).scheduler().waitingShards() == 0 && ds.step()) {
     }
-    EXPECT_GT(ds.scheduler().waitingShards(), 0u);
+    EXPECT_GT(ds.array().node(0).scheduler().waitingShards(), 0u);
     ds.drain();
     for (std::uint64_t qid : qids)
         EXPECT_EQ(ds.poll(qid), QueryState::Complete);

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "core/trace_replay.h"
+#include "support/fixtures.h"
 
 namespace deepstore::core {
 namespace {
@@ -94,16 +95,6 @@ TEST(TraceReplay, CacheReducesLatencyUnderLocality)
 
 namespace engine_replay {
 
-nn::ModelBundle
-dotModel(std::int64_t dim)
-{
-    nn::Model m("dot-scn", dim, false);
-    m.addLayer(nn::Layer::elementWise("dot", nn::EwOp::DotProduct,
-                                      dim));
-    auto w = nn::ModelWeights::random(m, 1);
-    return nn::ModelBundle{std::move(m), std::move(w)};
-}
-
 struct EngineRig
 {
     static constexpr std::int64_t kDim = 16;
@@ -186,8 +177,7 @@ TEST(TraceReplay, EngineReplayUsesTheEngineQueryCache)
     using engine_replay::EngineRig;
     auto u = universe();
     EngineRig rig;
-    std::uint64_t qcn = rig.ds.loadModel(
-        engine_replay::dotModel(EngineRig::kDim));
+    std::uint64_t qcn = rig.ds.loadModel(dotModel(EngineRig::kDim));
     rig.ds.setQC(qcn, 0.25, 0.99, 16);
 
     // Ten distinct queries, each repeated once: repeats hit.

@@ -29,9 +29,17 @@ TEST(Ssd, WriteThenReadCompletes)
     ssd.hostWrite(0, 8, [&](Tick) { wrote = true; });
     events.run();
     ASSERT_TRUE(wrote);
-    ssd.hostRead(0, 8, [&](Tick) { read = true; });
+    Tick start = events.now();
+    Tick done = 0;
+    ssd.hostRead(0, 8, [&](Tick t) {
+        read = true;
+        done = t;
+    });
     events.run();
     EXPECT_TRUE(read);
+    // Nothing defers a lone host read: command overhead + array
+    // read + transfer only.
+    EXPECT_LT(ticksToSeconds(done - start), 200e-6);
 }
 
 TEST(Ssd, ReadBeforeWriteIsFatal)
