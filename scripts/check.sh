@@ -14,16 +14,12 @@ cmake --build build -j "$JOBS"
 
 # Run the determinism linter before the test suites: a D-rule
 # violation is a faster, more precise explanation of a replay
-# divergence than a failing golden-tick pin. The run also verifies
-# the checked-in D8 shared-state inventory hasn't drifted and leaves
-# a machine-readable report for CI to archive.
+# divergence than a failing golden-tick pin. The run also leaves a
+# machine-readable report for CI to archive.
 echo
 echo "=== static analysis: deepstore_lint ==="
-build/tools/lint/deepstore_lint --root . --json \
-    --check-inventory tools/lint/sim_state_inventory.json \
-    > build/lint_report.json
-build/tools/lint/deepstore_lint --root . \
-    --check-inventory tools/lint/sim_state_inventory.json
+build/tools/lint/deepstore_lint --root . --json > build/lint_report.json
+build/tools/lint/deepstore_lint --root .
 
 echo
 echo "=== tier-1: test suite ==="

@@ -8,7 +8,7 @@ namespace deepstore {
 
 namespace {
 
-// lint:sim-state(kernel: process-wide log threshold, set once at startup and read-only while the simulation runs; the parallel kernel freezes it before workers start)
+// lint:allow(D8: process-wide log threshold, set once at startup and read-only while the simulation runs)
 LogLevel gLogLevel = LogLevel::Warn;
 
 } // namespace

@@ -12,6 +12,15 @@ namespace deepstore::core {
 
 namespace {
 
+/** Re-dispatch budget per shard across node deaths. */
+constexpr std::uint32_t kMaxNodeRetries = 2;
+
+/** Pages read per scrub wakeup (bounds burstiness). */
+constexpr std::uint32_t kScrubBatchPages = 8;
+
+/** Pages copied per repair wakeup. */
+constexpr std::uint32_t kRepairBatchPages = 8;
+
 void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
@@ -494,7 +503,6 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
         return;
     }
     agg.homeNode = pending.front().target.node;
-    const Tick now = events_.now();
     for (auto &p : pending) {
         trackNode(agg, p.target.node);
         QuerySubmission sub = agg.builder(p.target, p.subId);
@@ -505,36 +513,8 @@ ArrayCoordinator::scatter(std::uint64_t query_id,
             submitSub(agg, p.idx, std::move(sub));
             continue;
         }
-        // Remote dispatch: the sub-query descriptor + qfv travel
-        // over the host fabric before the node can start.
-        const Tick grant = scatter_bytes > 0
-                               ? fabric_.acquire(now, scatter_bytes)
-                               : now;
-        agg.interNodeBytes += scatter_bytes;
         arrayStats_.get("array.subQueriesRemote") += 1;
-        const std::uint64_t gen = agg.gen;
-        events_.schedule(
-            grant, [this, query_id, idx = p.idx, gen,
-                    sub = std::move(sub)]() mutable {
-                auto ait = aggs_.find(query_id);
-                if (ait == aggs_.end())
-                    return;
-                AggQuery &a = ait->second;
-                if (a.finished || a.gen != gen ||
-                    a.subs[idx].terminal)
-                    return;
-                if (!nodes_[a.subs[idx].node]->alive()) {
-                    // Node died while the dispatch was in flight:
-                    // fail over immediately (zero coverage).
-                    if (!tryRedispatch(a, idx, 0)) {
-                        a.subs[idx].terminal = true;
-                        arrayStats_.get("array.subQueriesLost") += 1;
-                        subArrived(a);
-                    }
-                    return;
-                }
-                submitSub(a, idx, std::move(sub));
-            });
+        dispatchRemote(agg, p.idx, std::move(sub));
     }
 }
 
@@ -572,6 +552,40 @@ ArrayCoordinator::submitSub(AggQuery &agg, std::size_t idx,
     sub.finalize = [this, qid, idx] { onSubTerminal(qid, idx); };
     ss.submitted = true;
     nodes_[ss.node]->scheduler().submit(std::move(sub));
+}
+
+void
+ArrayCoordinator::dispatchRemote(AggQuery &agg, std::size_t idx,
+                                 QuerySubmission sub)
+{
+    // The sub-query descriptor + qfv travel over the host fabric
+    // before the node can start.
+    const Tick now = events_.now();
+    const Tick grant = agg.scatterBytes > 0
+                           ? fabric_.acquire(now, agg.scatterBytes)
+                           : now;
+    agg.interNodeBytes += agg.scatterBytes;
+    const std::uint64_t gen = agg.gen;
+    events_.schedule(grant, [this, qid = agg.queryId, idx, gen,
+                             sub = std::move(sub)]() mutable {
+        auto it = aggs_.find(qid);
+        if (it == aggs_.end())
+            return;
+        AggQuery &a = it->second;
+        if (a.finished || a.gen != gen || a.subs[idx].terminal)
+            return;
+        if (!nodes_[a.subs[idx].node]->alive()) {
+            // Node died while the dispatch was in flight: fail over
+            // immediately (zero coverage).
+            if (!tryRedispatch(a, idx, 0)) {
+                a.subs[idx].terminal = true;
+                arrayStats_.get("array.subQueriesLost") += 1;
+                subArrived(a);
+            }
+            return;
+        }
+        submitSub(a, idx, std::move(sub));
+    });
 }
 
 void
@@ -640,7 +654,7 @@ ArrayCoordinator::tryRedispatch(AggQuery &agg, std::size_t idx,
 {
     // Copy what we need before push_back invalidates references.
     const SubState failed = agg.subs[idx];
-    if (failed.retries >= config_.maxNodeRetries)
+    if (failed.retries >= kMaxNodeRetries)
         return false;
     const std::uint64_t rest_start = failed.localStart + covered;
     if (rest_start >= failed.localEnd) {
@@ -685,33 +699,7 @@ ArrayCoordinator::tryRedispatch(AggQuery &agg, std::size_t idx,
     DS_ASSERT(sub.queryId == repl.subId);
 
     // The replacement descriptor re-crosses the fabric.
-    const Tick now = events_.now();
-    const Tick grant =
-        agg.scatterBytes > 0
-            ? fabric_.acquire(now, agg.scatterBytes)
-            : now;
-    agg.interNodeBytes += agg.scatterBytes;
-    const std::uint64_t gen = agg.gen;
-    const std::uint64_t qid = agg.queryId;
-    events_.schedule(grant, [this, qid, new_idx, gen,
-                             sub = std::move(sub)]() mutable {
-        auto it = aggs_.find(qid);
-        if (it == aggs_.end())
-            return;
-        AggQuery &a = it->second;
-        if (a.finished || a.gen != gen ||
-            a.subs[new_idx].terminal)
-            return;
-        if (!nodes_[a.subs[new_idx].node]->alive()) {
-            if (!tryRedispatch(a, new_idx, 0)) {
-                a.subs[new_idx].terminal = true;
-                arrayStats_.get("array.subQueriesLost") += 1;
-                subArrived(a);
-            }
-            return;
-        }
-        submitSub(a, new_idx, std::move(sub));
-    });
+    dispatchRemote(agg, new_idx, std::move(sub));
     return true;
 }
 
@@ -925,8 +913,6 @@ ArrayCoordinator::startScrub()
         return;
     if (config_.scrub.pagesPerSecond <= 0.0)
         fatal("ScrubConfig::pagesPerSecond must be positive");
-    if (config_.scrub.batchPages == 0)
-        fatal("ScrubConfig::batchPages must be positive");
     if (config_.scrub.passes != 0 &&
         scrubPassesCompleted_ >= config_.scrub.passes)
         return; // the pass budget was spent before the restart
@@ -975,7 +961,7 @@ ArrayCoordinator::scrubBatch()
     const ScrubConfig &sc = config_.scrub;
     // Gather the next batch of pages, skipping dead nodes' runs.
     std::vector<std::pair<ScrubRun, std::uint64_t>> batch;
-    while (batch.size() < sc.batchPages &&
+    while (batch.size() < kScrubBatchPages &&
            scrubRunIdx_ < scrubRuns_.size()) {
         const ScrubRun &run = scrubRuns_[scrubRunIdx_];
         if (!nodes_[run.node]->alive() ||
@@ -993,7 +979,7 @@ ArrayCoordinator::scrubBatch()
     // page budget allows (and never before its reads complete, so a
     // congested device self-throttles the scrubber further).
     const double budget_pages = static_cast<double>(
-        batch.empty() ? sc.batchPages : batch.size());
+        batch.empty() ? kScrubBatchPages : batch.size());
     const Tick rate_next =
         issue + secondsToTicks(budget_pages / sc.pagesPerSecond);
     const std::uint64_t gen = scrubGen_;
@@ -1217,8 +1203,7 @@ ArrayCoordinator::repairBatch()
     // repairScan may have grown (reallocated) the queue.
     const RepairTask task = repairQueue_.front();
     const std::uint64_t n = std::min<std::uint64_t>(
-        std::max(config_.repair.batchPages, 1u),
-        task.destPages - task.next);
+        kRepairBatchPages, task.destPages - task.next);
     DS_ASSERT(n > 0);
     const std::uint64_t gen = repairGen_;
     const std::uint64_t page_bytes =

@@ -74,8 +74,6 @@ struct ScrubConfig
     bool enabled = false;
     /** Rate cap: verifying reads issued per simulated second. */
     double pagesPerSecond = 2000.0;
-    /** Pages read per scrub wakeup (bounds burstiness). */
-    std::uint32_t batchPages = 8;
     /** Delay before the first batch. */
     double startDelaySeconds = 1e-3;
     /** Full passes over the bound placements (0 = scrub forever).
@@ -95,8 +93,6 @@ struct RepairConfig
     bool enabled = false;
     /** Pacing cap on repair traffic entering the fabric, bytes/s. */
     double bandwidthBytesPerSecond = 1.6e9;
-    /** Pages copied per repair wakeup. */
-    std::uint32_t batchPages = 8;
 };
 
 /** Typed result of a kill request (no UB on bad indices). */
@@ -129,9 +125,6 @@ struct ArrayConfig
 
     /** Scheduled whole-drive failures. */
     std::vector<ArrayNodeDeath> nodeDeaths;
-
-    /** Re-dispatch budget per shard across node deaths. */
-    std::uint32_t maxNodeRetries = 2;
 
     /** Background media scrub (off by default). */
     ScrubConfig scrub;
@@ -518,6 +511,10 @@ class ArrayCoordinator
     void trackNode(AggQuery &agg, std::uint32_t node_i);
     void submitSub(AggQuery &agg, std::size_t idx,
                    QuerySubmission sub);
+    /** Ship subs[idx]'s descriptor over the host fabric, then submit
+     *  it on its node (or fail over if the node died meanwhile). */
+    void dispatchRemote(AggQuery &agg, std::size_t idx,
+                        QuerySubmission sub);
     void onSubTerminal(std::uint64_t query_id, std::size_t idx);
     /** Dead-node failover: true when a replacement sub-query was
      *  dispatched for subs[idx]'s remainder. */

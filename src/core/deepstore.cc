@@ -32,7 +32,6 @@ DeepStore::DeepStore(DeepStoreConfig config)
     base.maxResidentScans = config_.maxResidentScansPerAccelerator;
     base.shardWatchdogSeconds = config_.shardWatchdogSeconds;
     base.maxShardRetries = config_.maxShardRetries;
-    base.shardRetryBackoffSeconds = config_.shardRetryBackoffSeconds;
     array_ = std::make_unique<ArrayCoordinator>(events_, config_.array,
                                                 std::move(base));
     // Scheduled whole-array power loss (fault schedule): collect the
@@ -164,10 +163,12 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
                   std::uint64_t num)
 {
     const DbMetadata &md = metadata_.lookup(db_id);
-    if (start + num > md.numFeatures)
-        fatal("readDB range [%llu, %llu) exceeds %llu features",
+    // Overflow-safe form of start + num > numFeatures (both are
+    // host-controlled 64-bit fields).
+    if (start > md.numFeatures || num > md.numFeatures - start)
+        fatal("readDB of %llu features at %llu exceeds %llu features",
+              static_cast<unsigned long long>(num),
               static_cast<unsigned long long>(start),
-              static_cast<unsigned long long>(start + num),
               static_cast<unsigned long long>(md.numFeatures));
     // Timing: read the covering pages of every overlapped shard over
     // the host interface (nodes serve their segments concurrently).
@@ -367,13 +368,10 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         ScanPlan plan = nd.resolvePlan(nperf.placement, t.localMd,
                                        t.localStart, t.localEnd);
         s.shards = std::move(plan.units);
-        // Page-retry knobs ride on each shard's DFV plan (the stream
-        // layer owns the bounded reissue + backoff machinery).
-        for (auto &shard : s.shards) {
+        // The page-retry budget rides on each shard's DFV plan (the
+        // stream layer owns the bounded reissue + backoff machinery).
+        for (auto &shard : s.shards)
             shard.plan.maxPageRetries = config_.maxPageRetries;
-            shard.plan.pageRetryBackoffSeconds =
-                config_.pageRetryBackoffSeconds;
-        }
         s.pageReadsPerStep = plan.pageReadsPerStep;
         s.featuresPerStep = plan.featuresPerStep;
         s.planSignature = plan.signature;

@@ -71,13 +71,8 @@ struct DeepStoreConfig
     double shardWatchdogSeconds = 0.0;
     /** Re-striping budget per shard before the query degrades. */
     std::uint32_t maxShardRetries = 2;
-    /** Backoff before the first shard re-dispatch; doubles per
-     *  retry. */
-    double shardRetryBackoffSeconds = 100e-6;
     /** Bounded reissue budget for an uncorrectable page read. */
     std::uint32_t maxPageRetries = 2;
-    /** Backoff before the first page reissue; doubles per attempt. */
-    double pageRetryBackoffSeconds = 20e-6;
 
     // ---- array topology ------------------------------------------
 

@@ -185,7 +185,9 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
             // prp references a serialized model blob packed into the
             // float buffer (4 bytes per element).
             const auto *buf = buffers_.find(cmd.prp);
-            if (!buf) {
+            // cdw0 is the blob length in bytes; it must fit the
+            // buffer the host handed over.
+            if (!buf || cmd.cdw[0] > buf->size() * 4) {
                 done.status = NvmeStatus::InvalidField;
                 break;
             }

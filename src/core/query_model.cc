@@ -331,17 +331,6 @@ DeepStoreModel::scanSeconds(Level level, const workloads::AppInfo &app,
 }
 
 double
-DeepStoreModel::scanEnergyPerFeature(
-    Level level, const workloads::AppInfo &app) const
-{
-    LevelPerf perf = evaluate(level, app);
-    if (!perf.supported)
-        fatal("level %s cannot execute %s", toString(level),
-              app.name.c_str());
-    return perf.energyPerFeature.total();
-}
-
-double
 arrayQuerySeconds(const std::vector<double> &node_scan_seconds,
                   std::uint64_t scatter_bytes,
                   std::uint64_t merge_bytes,

@@ -125,10 +125,6 @@ class DeepStoreModel
     double scanSeconds(Level level, const workloads::AppInfo &app,
                        std::uint64_t features) const;
 
-    /** Per-feature energy (J) for a scan. */
-    double scanEnergyPerFeature(Level level,
-                                const workloads::AppInfo &app) const;
-
   private:
     ssd::FlashParams flash_;
     energy::EnergyParams eparams_;

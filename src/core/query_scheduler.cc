@@ -43,6 +43,9 @@ toString(QueryOutcome o)
 
 namespace {
 
+/** Backoff before the first shard re-dispatch; doubles per retry. */
+constexpr double kShardRetryBackoffSeconds = 100e-6;
+
 /** Parent placement level for re-striping fallback. */
 std::optional<Level>
 parentLevel(Level l)
@@ -284,27 +287,6 @@ class QueryScheduler::AcceleratorUnit
     std::size_t waiting() const { return waiting_.size(); }
 
     /**
-     * Estimated tick at which this unit goes idle: the array's
-     * reserved horizon plus the next flash delivery each live group
-     * is waiting for (FlashController::estimateReadCompletion via
-     * DfvStream::nextDeliveryEstimate — the physical load signal).
-     * A lower bound while shards are waiting or streams unfinished.
-     */
-    Tick
-    busyUntilEstimate() const
-    {
-        if (dead_)
-            return 0;
-        Tick t = residents_ > 0 ? arbiter_.busyUntil() : 0;
-        for (const auto &g : groups_) {
-            if (g->finished || !g->stream)
-                continue;
-            t = std::max(t, g->stream->nextDeliveryEstimate());
-        }
-        return t;
-    }
-
-    /**
      * Schedule an auxiliary work item (QC probe share, cache-hit
      * rescore) on this unit: pull `dram_bytes` over the shared DRAM
      * link, then run `compute_ticks` on the array behind whatever
@@ -496,7 +478,6 @@ class QueryScheduler::AcceleratorUnit
                 waiting_.pop_front();
                 admit(std::move(req));
             }
-            sched_.updateBusyHorizon();
         });
     }
 
@@ -525,9 +506,8 @@ QueryScheduler::QueryScheduler(sim::EventQueue &events,
 {
     if (config_.maxResidentScans == 0)
         fatal("maxResidentScans must be at least 1");
-    if (config_.shardWatchdogSeconds < 0.0 ||
-        config_.shardRetryBackoffSeconds < 0.0)
-        fatal("scheduler fault knobs must be non-negative");
+    if (config_.shardWatchdogSeconds < 0.0)
+        fatal("shardWatchdogSeconds must be non-negative");
 }
 
 QueryScheduler::~QueryScheduler() = default;
@@ -714,7 +694,6 @@ QueryScheduler::enterStriped(QueryInfo &q)
         units[shard.unitIndex]->join(std::move(req));
     }
     q.state = QueryState::Scanning;
-    updateBusyHorizon();
 }
 
 void
@@ -780,7 +759,7 @@ QueryScheduler::shardFailed(ShardRemnant r)
     stats_.get("sched.shardReassignments") += 1;
     // Exponential backoff in simulated time before the re-dispatch.
     const Tick backoff = secondsToTicks(
-        config_.shardRetryBackoffSeconds *
+        kShardRetryBackoffSeconds *
         static_cast<double>(1ULL << (s.retries - 1)));
     const std::uint64_t seq = r.seq;
     events_.scheduleAfter(
@@ -965,18 +944,6 @@ QueryScheduler::chooseUnit(Level level, std::uint32_t exclude)
                 return std::make_pair(*up, i);
     }
     return std::nullopt;
-}
-
-void
-QueryScheduler::updateBusyHorizon()
-{
-    if (!busyHook_)
-        return;
-    Tick horizon = events_.now();
-    for (const auto &[level, units] : pools_)
-        for (const auto &unit : units)
-            horizon = std::max(horizon, unit->busyUntilEstimate());
-    busyHook_(horizon);
 }
 
 std::optional<QueryState>

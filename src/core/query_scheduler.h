@@ -142,9 +142,6 @@ struct QuerySchedulerConfig
      *  query degrades. */
     std::uint32_t maxShardRetries = 2;
 
-    /** Backoff before the first re-dispatch; doubles per retry. */
-    double shardRetryBackoffSeconds = 100e-6;
-
     /** Accelerator count per level (indexed by Level's underlying
      *  value), used to build the *parent*-level pool when re-striping
      *  has to fall back a level. 0 = unknown (no fallback possible
@@ -346,18 +343,6 @@ class QueryScheduler
      *  unknown ids; partial until the query is terminal). */
     QueryRunStats runStats(std::uint64_t query_id) const;
 
-    /**
-     * Hook invoked whenever the estimated busy-until horizon of the
-     * accelerator complex changes. The estimate is fed by
-     * FlashController::estimateReadCompletion through each live
-     * stream's nextDeliveryEstimate() — the Striped-stage load
-     * estimate of the physical datapath.
-     */
-    void setBusyHook(std::function<void(Tick)> hook)
-    {
-        busyHook_ = std::move(hook);
-    }
-
     /** Scan shards currently resident across all units (occupancy
      *  introspection for stats/benches). */
     std::size_t residentShards() const;
@@ -389,7 +374,6 @@ class QueryScheduler
     void finishShard(QueryInfo &q, std::uint64_t seq);
     void degradeQuery(QueryInfo &q, QueryOutcome outcome);
     void completeQuery(QueryInfo &q, QueryOutcome outcome);
-    void updateBusyHorizon();
     std::vector<std::unique_ptr<AcceleratorUnit>> &
     pool(Level level, std::uint32_t count);
     /** Alive sibling at the same level (excluding `exclude` when
@@ -408,7 +392,6 @@ class QueryScheduler
     std::map<std::uint64_t, ShardState> shards_;
     std::map<Level, std::vector<std::unique_ptr<AcceleratorUnit>>>
         pools_;
-    std::function<void(Tick)> busyHook_;
     std::size_t inFlight_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t nextShardSeq_ = 1;

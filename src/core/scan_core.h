@@ -70,9 +70,6 @@ namespace deepstore::core {
 class ComputeArbiter
 {
   public:
-    /** Tick at which the array frees up (<= now means idle). */
-    Tick busyUntil() const { return freeAt_; }
-
     /**
      * Reserve the array for `cost` ticks starting no earlier than
      * `now`; returns the completion tick.
@@ -116,8 +113,6 @@ class WeightStream
      * requesting the DRAM transfer at `ready` if nobody has yet.
      */
     Tick fetch(std::uint64_t slot, Tick ready);
-
-    std::uint64_t bytesPerSlot() const { return bytesPerSlot_; }
 
   private:
     sim::BandwidthLink *dram_;
@@ -223,10 +218,6 @@ class GroupScan
     bool done() const { return membersLeft_ == 0 && started_; }
 
     std::size_t members() const { return members_.size(); }
-
-    /** Largest member feature count (the group's stream length in
-     *  features). */
-    std::uint64_t featuresTotal() const { return maxFeatures_; }
 
     /** Live subscribers (recovery introspection). */
     const std::vector<ScanMember> &memberList() const

@@ -27,7 +27,6 @@ SsdNode::SsdNode(sim::EventQueue &events, SsdNodeConfig config,
     scfg.faults = config_.flash.faults;
     scfg.shardWatchdogSeconds = config_.shardWatchdogSeconds;
     scfg.maxShardRetries = config_.maxShardRetries;
-    scfg.shardRetryBackoffSeconds = config_.shardRetryBackoffSeconds;
     scfg.unitsAtLevel[static_cast<std::size_t>(Level::SsdLevel)] = 1;
     scfg.unitsAtLevel[static_cast<std::size_t>(Level::ChannelLevel)] =
         config_.flash.channels;

@@ -39,7 +39,6 @@ struct SsdNodeConfig
     std::uint32_t maxResidentScans = 8;
     double shardWatchdogSeconds = 0.0;
     std::uint32_t maxShardRetries = 2;
-    double shardRetryBackoffSeconds = 100e-6;
 };
 
 /** One array member: SSD + FTL + fault domain + scan station. */

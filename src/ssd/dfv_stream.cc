@@ -7,6 +7,14 @@
 
 namespace deepstore::ssd {
 
+namespace {
+
+/** Backoff before the first reissue of an uncorrectable page;
+ *  doubles per attempt. */
+constexpr double kPageRetryBackoffSeconds = 20e-6;
+
+} // namespace
+
 DfvStream::DfvStream(
     sim::EventQueue &events, DfvPlan plan,
     std::function<FlashController &(std::uint32_t)> route,
@@ -32,7 +40,6 @@ DfvStream::maybeIssueBurst()
         return;
     const std::uint64_t n = std::min<std::uint64_t>(
         plan_.queueDepthPages, pagesTotal() - issued_);
-    ++bursts_;
     stats_.get("dfv.bursts") += 1;
     // Stagger same-controller reads at the steady-state page
     // interval; different controllers issue in parallel.
@@ -79,9 +86,8 @@ DfvStream::pageUncorrectable(std::uint64_t index,
         // Bounded reissue with exponential backoff in simulated
         // time; the injector re-rolls its decision per attempt.
         stats_.get("dfv.pageRetries") += 1;
-        attempts_[index] = attempt + 1;
         const Tick backoff =
-            secondsToTicks(plan_.pageRetryBackoffSeconds *
+            secondsToTicks(kPageRetryBackoffSeconds *
                            static_cast<double>(1ULL << attempt));
         events_.scheduleAfter(backoff, [this, index, attempt] {
             if (closed_)
@@ -97,7 +103,6 @@ DfvStream::pageUncorrectable(std::uint64_t index,
     auto it = std::lower_bound(failedPages_.begin(),
                                failedPages_.end(), index);
     failedPages_.insert(it, index);
-    attempts_.erase(index);
     pageDelivered(index, false);
 }
 
@@ -148,26 +153,6 @@ DfvStream::consumedThrough(std::uint64_t pages)
         blocked_ = false;
     }
     maybeIssueBurst();
-}
-
-Tick
-DfvStream::nextDeliveryEstimate() const
-{
-    if (closed_)
-        return 0;
-    // The next page the consumer is waiting for: first undelivered
-    // entry (in flight or still unissued).
-    const std::uint64_t next =
-        std::min<std::uint64_t>(deliveredPrefix_, pagesTotal());
-    if (next == pagesTotal())
-        return 0;
-    const PageAddress &addr = plan_.pages[next];
-    auto attempt_it = attempts_.find(next);
-    const std::uint32_t attempt =
-        attempt_it == attempts_.end() ? 0 : attempt_it->second;
-    return route_(addr.channel)
-        .estimateReadCompletion(addr, plan_.transferBytesPerPage,
-                                attempt);
 }
 
 std::uint64_t
@@ -227,7 +212,6 @@ DfvStreamService::close(DfvStream &stream)
         owned->delivered_.shrink_to_fit();
         owned->failedPages_.clear();
         owned->failedPages_.shrink_to_fit();
-        owned->attempts_.clear();
         DS_ASSERT(active_ > 0);
         --active_;
         return;

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -75,12 +74,9 @@ struct DfvPlan
 
     /** Reissues of an uncorrectable page before it is abandoned
      *  (each reissue re-rolls the deterministic fault decision with
-     *  attempt+1). */
+     *  attempt+1, after an exponential backoff in simulated
+     *  time). */
     std::uint32_t maxPageRetries = 2;
-
-    /** Backoff before the first reissue; doubles per attempt
-     *  (exponential backoff in simulated time). */
-    double pageRetryBackoffSeconds = 20e-6;
 };
 
 /**
@@ -127,16 +123,6 @@ class DfvStream
         onDelivered_ = std::move(cb);
     }
 
-    /**
-     * Estimated completion tick of the next undelivered page, asking
-     * the owning controller's estimateReadCompletion() — the
-     * scheduler's Striped-stage load estimate. 0 when the stream is
-     * done.
-     */
-    Tick nextDeliveryEstimate() const;
-
-    std::uint64_t burstsIssued() const { return bursts_; }
-
     /** FLASH_DFV queue capacity in page slots (burst size). The
      *  consumer sizes its staging FIFO to match. */
     std::uint32_t queueDepthPages() const
@@ -173,13 +159,10 @@ class DfvStream
     std::uint64_t issued_ = 0;
     std::uint64_t deliveredPrefix_ = 0;
     std::uint64_t consumed_ = 0;
-    std::uint64_t bursts_ = 0;
     std::vector<bool> delivered_;
     /** Plan indices abandoned as uncorrectable, kept sorted (tiny:
      *  failures are rare by construction). */
     std::vector<std::uint64_t> failedPages_;
-    /** In-flight retry attempt per plan index (sparse). */
-    std::map<std::uint64_t, std::uint32_t> attempts_;
     std::function<void()> onDelivered_;
     bool closed_ = false;
 

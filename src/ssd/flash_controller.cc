@@ -74,14 +74,6 @@ FlashController::planeBusyUntil(const PageAddress &addr)
                       addr.plane];
 }
 
-Tick
-FlashController::planeBusyUntilConst(const PageAddress &addr) const
-{
-    return planeBusy_[static_cast<std::size_t>(addr.chip) *
-                          params_.planesPerChip +
-                      addr.plane];
-}
-
 FlashController::ReadTiming
 FlashController::readTiming(const PageAddress &addr,
                             std::uint32_t attempt) const
@@ -166,9 +158,8 @@ FlashController::issue(FlashCommand cmd)
             stats_.get("flash.readRetries") += 1;
         if (t.channelStall > 0)
             stats_.get("flash.channelStalls") += 1;
-        // Lifecycle accounting: only *issued* reads disturb cells
-        // (estimates never reach here), and the observer runs after
-        // this read's timing is fixed, so it never counts itself.
+        // Lifecycle accounting: the observer runs after this read's
+        // timing is fixed, so it never counts itself.
         if (readObserver_)
             readObserver_(cmd.addr, t.status);
         if (t.status == FlashStatus::Uncorrectable) {
@@ -253,23 +244,6 @@ FlashController::needsRetry(const PageAddress &addr) const
     x ^= x >> 31;
     double u = static_cast<double>(x >> 11) * 0x1.0p-53;
     return u < params_.readRetryProbability;
-}
-
-Tick
-FlashController::estimateReadCompletion(const PageAddress &addr,
-                                        std::uint64_t bytes,
-                                        std::uint32_t attempt) const
-{
-    const Tick now = events_.now();
-    const ReadTiming t = readTiming(addr, attempt);
-    Tick read_done =
-        std::max(now, planeBusyUntilConst(addr)) + t.arrayTicks;
-    if (t.status == FlashStatus::Uncorrectable)
-        return read_done;
-    Tick xfer_done = std::max(read_done, bus_.freeAt()) +
-                     t.channelStall +
-                     secondsToTicks(params_.channelTransferTime(bytes));
-    return xfer_done;
 }
 
 } // namespace deepstore::ssd

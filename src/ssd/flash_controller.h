@@ -81,21 +81,7 @@ class FlashController
     /** Issue a command now; completion arrives via the event queue. */
     void issue(FlashCommand cmd);
 
-    /**
-     * Earliest tick at which a newly issued read to the given plane
-     * would complete (used by schedulers for load estimates).
-     * Accounts for the read-retry stretch and injected stalls, so the
-     * estimate matches what issue() would actually produce for the
-     * same attempt number.
-     */
-    Tick estimateReadCompletion(const PageAddress &addr,
-                                std::uint64_t bytes,
-                                std::uint32_t attempt = 0) const;
-
     std::uint32_t channelId() const { return channelId_; }
-
-    /** Tick at which the channel bus frees up. */
-    Tick busBusyUntil() const { return bus_.freeAt(); }
 
     /** The channel bus as a shared-bandwidth link (NoC leg of the
      *  accelerator complex); waitTicks() is the channel's NoC
@@ -108,12 +94,10 @@ class FlashController
     // enabled; both default to unset, costing one branch) ----------
 
     /** Returns the wear-model RBER of a page (the FTL computes it);
-     *  consulted identically by issue() and estimateReadCompletion()
-     *  so estimates stay exact under wear. */
+     *  consulted by issue() for every page read. */
     using WearProbe = std::function<double(const PageAddress &)>;
-    /** Observes every *issued* page read's final status (read-disturb
-     *  accounting + lifecycle threshold checks). Never called from
-     *  estimateReadCompletion(). */
+    /** Observes every issued page read's final status (read-disturb
+     *  accounting + lifecycle threshold checks). */
     using ReadObserver =
         std::function<void(const PageAddress &, FlashStatus)>;
 
@@ -133,11 +117,9 @@ class FlashController
 
   private:
     /**
-     * Shared timing model of one page read: array latency (with the
+     * Timing model of one page read: array latency (with the
      * legacy retry stretch and the injected plane stall) and bus-side
      * delay (injected channel stall), plus the resulting status.
-     * Used by both issue() and estimateReadCompletion() so estimates
-     * stay exact under fault injection.
      */
     struct ReadTiming
     {
@@ -149,7 +131,6 @@ class FlashController
                           std::uint32_t attempt) const;
 
     Tick &planeBusyUntil(const PageAddress &addr);
-    Tick planeBusyUntilConst(const PageAddress &addr) const;
 
     /** Deterministic failure-injection decision for a page. */
     bool needsRetry(const PageAddress &addr) const;

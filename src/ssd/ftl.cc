@@ -368,13 +368,6 @@ Ftl::eraseCount(std::uint32_t phys) const
     return eraseCount_[phys];
 }
 
-std::uint64_t
-Ftl::readCount(std::uint32_t phys) const
-{
-    DS_ASSERT(phys < superCount_);
-    return readCount_[phys];
-}
-
 bool
 Ftl::retired(std::uint32_t phys) const
 {

@@ -182,7 +182,6 @@ class Ftl
     // ---- lifecycle introspection ---------------------------------
 
     std::uint64_t eraseCount(std::uint32_t phys) const;
-    std::uint64_t readCount(std::uint32_t phys) const;
     bool retired(std::uint32_t phys) const;
     std::uint32_t retiredSuperblocks() const;
     /** Physical superblock mapped to `logical` (kUnmapped if none). */

@@ -125,12 +125,6 @@ class Ssd
      */
     void powerLoss();
 
-    /** Background relocations currently copying. */
-    std::size_t activeRelocations() const
-    {
-        return relocations_.size();
-    }
-
   private:
     /** One in-flight background relocation (batched page copies). */
     struct RelocState

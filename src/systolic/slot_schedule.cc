@@ -13,15 +13,6 @@ SlotSchedule::computeCyclesPerFeature() const
     return total;
 }
 
-std::uint64_t
-SlotSchedule::dramBytesPerFeature() const
-{
-    std::uint64_t total = 0;
-    for (const auto &b : bursts)
-        total += b.dramReadBytes;
-    return total;
-}
-
 SlotSchedule
 slotSchedule(const ModelRun &run, std::int64_t features_per_slot)
 {

@@ -45,9 +45,8 @@ struct SlotSchedule
     /** One burst per layer, in execution order. */
     std::vector<SlotBurst> bursts;
 
-    /** Scalar fold-backs (cross-checks against the analytic model). */
+    /** Scalar fold-back (cross-check against the analytic model). */
     Cycles computeCyclesPerFeature() const;
-    std::uint64_t dramBytesPerFeature() const;
 };
 
 /**

@@ -143,6 +143,22 @@ TEST(NvmeFront, HostErrorsSurfaceAsStatusNotExceptions)
     r.opcode = NvmeOpcode::ReadDB;
     r.prp = 0xDEAD;
     EXPECT_EQ(rig.run(r).status, NvmeStatus::InvalidField);
+
+    // ReadDB whose start + num wraps past 2^64 back into range.
+    NvmeCommand wrap;
+    wrap.opcode = NvmeOpcode::ReadDB;
+    wrap.prp = rig.nvme.buffers().add({});
+    wrap.cdw[0] = rig.writeDb(4, 10);
+    wrap.cdw[1] = 1;
+    wrap.cdw[2] = ~0ULL;
+    EXPECT_EQ(rig.run(wrap).status, NvmeStatus::InvalidField);
+
+    // LoadModel claiming a blob far larger than its 8-float buffer.
+    NvmeCommand big;
+    big.opcode = NvmeOpcode::LoadModel;
+    big.prp = rig.nvme.buffers().add(std::vector<float>(8, 0.0f));
+    big.cdw[0] = 1ULL << 62;
+    EXPECT_EQ(rig.run(big).status, NvmeStatus::InvalidField);
 }
 
 TEST(NvmeFront, StandardIoOpcodesWork)

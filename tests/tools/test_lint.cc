@@ -9,9 +9,7 @@
  * The fixtures are checked-in `.snippet` files (an extension the tree
  * walk ignores, so the linter never lints its own test corpus) under
  * tests/tools/fixtures/. D5 and D11 are structural/tree-level, so
- * their cases build a miniature repo tree in the test temp dir. The
- * D8 sim-state inventory is round-tripped against the checked-in
- * tools/lint/sim_state_inventory.json.
+ * their cases build a miniature repo tree in the test temp dir.
  */
 
 #include <gtest/gtest.h>
@@ -454,7 +452,7 @@ TEST_F(LintD5, ReasonlessFileLevelSuppressionIsAFinding)
               std::string::npos);
 }
 
-// ---- D8: shared simulator state must name an owner domain -------
+// ---- D8: mutable shared simulator state -------------------------
 
 TEST(LintD8, BadFixtureFiresOnAllThreeStaticKinds)
 {
@@ -471,42 +469,24 @@ TEST(LintD8, BadFixtureFiresOnAllThreeStaticKinds)
     EXPECT_EQ(r.findings[2].line, 12); // thread_local calls
     EXPECT_NE(r.findings[2].message.find("local-static `calls`"),
               std::string::npos);
-    EXPECT_TRUE(r.simState.empty());
 }
 
-TEST(LintD8, GoodFixtureFeedsInventoryAndHonoursAllow)
+TEST(LintD8, GoodFixtureHonoursAllow)
 {
     Report r = lintFixture("d8_good.snippet");
     EXPECT_TRUE(r.clean()) << formatReport(r, true);
-    // The annotated global lands in the inventory with its domain
-    // and reason; const / constexpr / *const and plain locals do
-    // not count as state at all.
-    ASSERT_EQ(r.simState.size(), 1u);
-    EXPECT_EQ(r.simState[0].file, "src/fixture/d8_good.snippet");
-    EXPECT_EQ(r.simState[0].line, 6);
-    EXPECT_EQ(r.simState[0].symbol, "gTraceDepth");
-    EXPECT_EQ(r.simState[0].domain, "kernel");
-    EXPECT_EQ(r.simState[0].reason, "frozen before workers start");
-    ASSERT_EQ(r.suppressions.size(), 1u);
+    // Both annotated statics are honoured suppressions with their
+    // reasons; const / constexpr / *const and plain locals do not
+    // count as state at all.
+    ASSERT_EQ(r.suppressions.size(), 2u);
     EXPECT_EQ(r.suppressions[0].rule, "D8");
+    EXPECT_EQ(r.suppressions[0].line, 5); // gTraceDepth
     EXPECT_EQ(r.suppressions[0].reason,
+              "frozen before the simulation starts");
+    EXPECT_EQ(r.suppressions[1].rule, "D8");
+    EXPECT_EQ(r.suppressions[1].reason,
               "scratch counter owned by the test harness, never "
               "read by the simulator");
-}
-
-TEST(LintD8, MalformedAnnotationsAreFindingsNotSuppressions)
-{
-    Report r = lintFixture("d8_malformed.snippet");
-    ASSERT_EQ(r.findings.size(), 2u) << formatReport(r, true);
-    EXPECT_EQ(r.findings[0].rule, "D8");
-    EXPECT_EQ(r.findings[0].line, 5); // lint:sim-state(kernel)
-    EXPECT_NE(r.findings[0].message.find("missing a reason"),
-              std::string::npos);
-    EXPECT_EQ(r.findings[1].rule, "D8");
-    EXPECT_EQ(r.findings[1].line, 7); // per-thread domain
-    EXPECT_NE(r.findings[1].message.find("unknown owner domain"),
-              std::string::npos);
-    EXPECT_TRUE(r.simState.empty());
 }
 
 TEST(LintD8, OnlySrcIsInScope)
@@ -789,67 +769,19 @@ TEST_F(LintD11, StaleEntryCanBeSuppressedWithAReason)
               "reserved for the recovery PR");
 }
 
-// ---- Sim-state inventory round-trip -----------------------------
-
-TEST_F(LintD11, InventoryJsonIsDeterministic)
-{
-    write("src/core/g.cc",
-          "// lint:sim-state(per-node: cache survives across "
-          "queries on purpose)\n"
-          "int gCache = 1;\n");
-    write("src/common/stats_schema.h", "\n");
-    Report r = lint();
-    EXPECT_TRUE(r.clean()) << formatReport(r, true);
-    EXPECT_EQ(formatInventory(r),
-              "{\n"
-              "  \"version\": 1,\n"
-              "  \"domains\": [\"per-channel\", \"per-node\", "
-              "\"coordinator\", \"kernel\"],\n"
-              "  \"entries\": [\n"
-              "    {\n"
-              "      \"file\": \"src/core/g.cc\",\n"
-              "      \"line\": 2,\n"
-              "      \"symbol\": \"gCache\",\n"
-              "      \"domain\": \"per-node\",\n"
-              "      \"reason\": \"cache survives across queries "
-              "on purpose\"\n"
-              "    }\n"
-              "  ]\n"
-              "}\n");
-}
-
-TEST(LintInventory, CheckedInInventoryMatchesTheTree)
-{
-    // The drift check CI enforces, from inside the test suite: the
-    // committed sim_state_inventory.json must be byte-identical to
-    // what the tree produces today, and must not be empty.
-    Report r = lintTree(DEEPSTORE_LINT_REPO_ROOT, {});
-    EXPECT_FALSE(r.simState.empty());
-    fs::path p = fs::path(DEEPSTORE_LINT_REPO_ROOT) / "tools" /
-                 "lint" / "sim_state_inventory.json";
-    std::ifstream in(p, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing " << p;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), formatInventory(r))
-        << "inventory drift: regenerate with deepstore_lint "
-           "--emit-inventory";
-}
-
 // ---- JSON report ------------------------------------------------
 
-TEST(LintJson, ReportCarriesCountsFindingsAndInventory)
+TEST(LintJson, ReportCarriesCountsAndSuppressions)
 {
     Report r = lintFixture("d8_good.snippet");
     std::string json = formatJson(r);
     EXPECT_NE(json.find("\"findings\": 0"), std::string::npos);
     EXPECT_NE(json.find(
-                  "\"D8\": {\"findings\": 0, \"suppressions\": 1}"),
+                  "\"D8\": {\"findings\": 0, \"suppressions\": 2}"),
               std::string::npos);
-    EXPECT_NE(json.find("\"simState\": 1"), std::string::npos);
-    EXPECT_NE(json.find("\"simStateInventory\""),
+    EXPECT_NE(json.find("\"reason\": \"frozen before the simulation "
+                        "starts\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"gTraceDepth\""), std::string::npos);
 }
 
 // ---- The real tree stays clean ----------------------------------

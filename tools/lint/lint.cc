@@ -10,7 +10,7 @@
  * v2 structure: lintTree() runs phase 1 (cross-TU index: unordered /
  * float / pointer member names, per-file mutable-static scans) before
  * the per-file phase 2 token rules, then the structural passes (D5
- * registration, D11 stats schema) and the D8 inventory sort.
+ * registration, D11 stats schema).
  */
 
 #include "lint.h"
@@ -307,34 +307,6 @@ parseAnnotations(const std::string &comment)
     return out;
 }
 
-/** A parsed `lint:sim-state(<domain>: <reason>)` annotation (D8). */
-struct SimStateAnnotation
-{
-    bool present = false;
-    bool wellFormed = false; // had the `domain: reason` shape
-    std::string domain;
-    std::string reason;
-};
-
-SimStateAnnotation
-parseSimState(const std::string &comment)
-{
-    SimStateAnnotation out;
-    static const std::regex kAny(R"(lint:sim-state\(([^)]*)\))");
-    std::smatch m;
-    if (!std::regex_search(comment, m, kAny))
-        return out;
-    out.present = true;
-    std::string body = m[1];
-    std::size_t colon = body.find(':');
-    if (colon == std::string::npos)
-        return out; // malformed: no domain/reason split
-    out.wellFormed = true;
-    out.domain = body.substr(0, colon);
-    out.reason = body.substr(colon + 1);
-    return out;
-}
-
 /** Strip leading/trailing whitespace. */
 std::string
 trim(std::string s)
@@ -347,14 +319,6 @@ trim(std::string s)
            std::isspace(static_cast<unsigned char>(s[b])))
         ++b;
     return s.substr(b);
-}
-
-const std::set<std::string> &
-simStateDomains()
-{
-    static const std::set<std::string> kDomains = {
-        "per-channel", "per-node", "coordinator", "kernel"};
-    return kDomains;
 }
 
 /**
@@ -729,49 +693,12 @@ class FileLinter
     void
     ruleD8()
     {
-        for (const MutableStatic &m : statics_) {
-            SimStateAnnotation ann;
-            for (int l : {m.line, m.line - 1}) {
-                if (l < 1 || static_cast<std::size_t>(l) >
-                                 src_.comments.size())
-                    continue;
-                ann = parseSimState(src_.comments[l - 1]);
-                if (ann.present)
-                    break;
-            }
-            if (!ann.present) {
-                emit("D8", m.line,
-                     "mutable " + m.kind + " `" + m.symbol +
-                         "` is shared simulator state: annotate "
-                         "// lint:sim-state(<domain>: <reason>) "
-                         "with its owner domain (per-channel | "
-                         "per-node | coordinator | kernel) so the "
-                         "parallel-DES inventory stays complete");
-                continue;
-            }
-            std::string domain = trim(ann.domain);
-            std::string reason = trim(ann.reason);
-            if (!ann.wellFormed || reason.empty()) {
-                report_.findings.push_back(
-                    {path_, m.line, "D8",
-                     "lint:sim-state on `" + m.symbol +
-                         "` is missing a reason: write "
-                         "lint:sim-state(<domain>: <why this "
-                         "domain owns it>)"});
-                continue;
-            }
-            if (!simStateDomains().count(domain)) {
-                report_.findings.push_back(
-                    {path_, m.line, "D8",
-                     "lint:sim-state on `" + m.symbol +
-                         "` names unknown owner domain `" + domain +
-                         "` (valid: per-channel | per-node | "
-                         "coordinator | kernel)"});
-                continue;
-            }
-            report_.simState.push_back(
-                {path_, m.line, m.symbol, domain, reason});
-        }
+        for (const MutableStatic &m : statics_)
+            emit("D8", m.line,
+                 "mutable " + m.kind + " `" + m.symbol +
+                     "` is shared simulator state: make it const, "
+                     "move it into an owning object, or annotate "
+                     "// lint:allow(D8: <reason>)");
     }
 
     void
@@ -1040,7 +967,7 @@ blankPreprocessor(const std::string &code)
     return out;
 }
 
-/** JSON string escaping for the inventory / --json serializers. */
+/** JSON string escaping for the --json serializer. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -1073,36 +1000,6 @@ lineOfOffset(const std::string &text, std::size_t off)
     return 1 + static_cast<int>(
                    std::count(text.begin(), text.begin() + off,
                               '\n'));
-}
-
-void
-appendInventory(std::ostringstream &os, const Report &report,
-                const std::string &ind)
-{
-    os << "{\n";
-    os << ind << "  \"version\": 1,\n";
-    os << ind << "  \"domains\": [\"per-channel\", \"per-node\", "
-          "\"coordinator\", \"kernel\"],\n";
-    os << ind << "  \"entries\": [";
-    for (std::size_t i = 0; i < report.simState.size(); ++i) {
-        const SimStateEntry &e = report.simState[i];
-        os << (i ? "," : "") << "\n";
-        os << ind << "    {\n";
-        os << ind << "      \"file\": \"" << jsonEscape(e.file)
-           << "\",\n";
-        os << ind << "      \"line\": " << e.line << ",\n";
-        os << ind << "      \"symbol\": \"" << jsonEscape(e.symbol)
-           << "\",\n";
-        os << ind << "      \"domain\": \"" << jsonEscape(e.domain)
-           << "\",\n";
-        os << ind << "      \"reason\": \"" << jsonEscape(e.reason)
-           << "\"\n";
-        os << ind << "    }";
-    }
-    if (!report.simState.empty())
-        os << "\n" << ind << "  ";
-    os << "]\n";
-    os << ind << "}";
 }
 
 } // namespace
@@ -1729,15 +1626,6 @@ lintTree(const std::string &root, const Options &opts)
         }
     }
 
-    // ---- D8 inventory: deterministic order ----------------------
-    std::sort(report.simState.begin(), report.simState.end(),
-              [](const SimStateEntry &a, const SimStateEntry &b) {
-                  if (a.file != b.file)
-                      return a.file < b.file;
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.symbol < b.symbol;
-              });
     return report;
 }
 
@@ -1756,15 +1644,6 @@ formatReport(const Report &report, bool verbose)
     os << "deepstore_lint: " << report.findings.size()
        << " finding(s), " << report.suppressions.size()
        << " suppression(s) honoured\n";
-    return os.str();
-}
-
-std::string
-formatInventory(const Report &report)
-{
-    std::ostringstream os;
-    appendInventory(os, report, "");
-    os << "\n";
     return os.str();
 }
 
@@ -1793,8 +1672,7 @@ formatJson(const Report &report)
     }
     if (!by_rule.empty())
         os << "\n    ";
-    os << "},\n";
-    os << "    \"simState\": " << report.simState.size() << "\n";
+    os << "}\n";
     os << "  },\n";
     os << "  \"findings\": [";
     for (std::size_t i = 0; i < report.findings.size(); ++i) {
@@ -1817,10 +1695,8 @@ formatJson(const Report &report)
     }
     if (!report.suppressions.empty())
         os << "\n  ";
-    os << "],\n";
-    os << "  \"simStateInventory\": ";
-    appendInventory(os, report, "  ");
-    os << "\n}\n";
+    os << "]\n";
+    os << "}\n";
     return os.str();
 }
 

@@ -43,20 +43,16 @@
  *       Deliberate escapes carry `// lint:allow(D7: ...)`.
  *
  * v2 grows the checker from a per-file token scanner into a
- * two-phase analyzer for the parallel-DES groundwork: phase 1 builds
- * a lightweight cross-TU index over the tree (include graph,
- * float/pointer declarations, mutable global/static state, Stats
- * sites, schedule() sites); phase 2 runs five more rules on top:
+ * two-phase analyzer: phase 1 builds a lightweight cross-TU index
+ * over the tree (include graph, float/pointer declarations, mutable
+ * global/static state, Stats sites, schedule() sites); phase 2 runs
+ * five more rules on top:
  *
- *   D8  every mutable global / namespace-scope / class-static /
- *       function-local-static variable under src/ carries a
- *       `// lint:sim-state(<domain>: <reason>)` annotation naming
- *       its owner domain (per-channel | per-node | coordinator |
- *       kernel). Annotated symbols are emitted as the shared-state
- *       inventory (tools/lint/sim_state_inventory.json) that the
- *       parallel-DES kernel will use to decide what gets sharded
- *       vs. barriered; CI diffs the emitted inventory against the
- *       committed one.
+ *   D8  no mutable global / namespace-scope / class-static /
+ *       function-local-static variable under src/: hidden shared
+ *       state couples runs that must replay independently.
+ *       Deliberate process-wide state carries
+ *       `// lint:allow(D8: <reason>)`.
  *   D9  address-order nondeterminism: ordered/unordered associative
  *       containers keyed by raw pointers (std::map<T*,...>,
  *       std::set<T*>, smart-pointer keys), sort comparators that
@@ -94,7 +90,6 @@
  *   // lint:allow(D1: <reason>)      suppress any rule, with reason
  *   // lint:ordered-ok(<reason>)     D4-specific alias
  *   // lint:ptr-ordered-ok(<reason>) D9-specific alias
- *   // lint:sim-state(<domain>: <reason>)  D8 inventory annotation
  *
  * A suppression without a written reason is itself a finding.
  *
@@ -129,29 +124,11 @@ struct Suppression
     std::string reason;
 };
 
-/**
- * One shared-state inventory entry: a mutable global/static under
- * src/ together with the owner domain its lint:sim-state annotation
- * assigned. The parallel-DES PR consumes this to decide which state
- * gets sharded per worker (per-channel / per-node), which stays on
- * the coordinator, and which must be frozen before threads start
- * (kernel).
- */
-struct SimStateEntry
-{
-    std::string file;
-    int line = 0;
-    std::string symbol;
-    std::string domain; ///< per-channel | per-node | coordinator | kernel
-    std::string reason;
-};
-
 /** Result of a lint run. */
 struct Report
 {
     std::vector<Finding> findings;
     std::vector<Suppression> suppressions;
-    std::vector<SimStateEntry> simState; ///< D8 inventory (tree mode)
 
     bool clean() const { return findings.empty(); }
 };
@@ -262,7 +239,7 @@ collectMutableStatics(const std::string &content);
  * Tree mode: phase 1 walks <root>/src and <root>/tests (*.cc, *.h,
  * sorted) building the cross-TU index, then phase 2 runs every
  * per-file rule with that context plus the structural passes (D5,
- * D8 inventory, D11 stats completeness).
+ * D11 stats completeness).
  */
 Report lintTree(const std::string &root, const Options &opts);
 
@@ -270,16 +247,9 @@ Report lintTree(const std::string &root, const Options &opts);
 std::string formatReport(const Report &report, bool verbose);
 
 /**
- * Serialize the D8 shared-state inventory deterministically (sorted
- * by file, line). This exact byte stream is what gets committed as
- * tools/lint/sim_state_inventory.json and what CI diffs against.
- */
-std::string formatInventory(const Report &report);
-
-/**
  * Serialize the whole report (findings, suppressions, per-rule
- * counts, and the D8 inventory) as JSON for the `--json` CLI flag;
- * CI archives it as the static-analysis artifact.
+ * counts) as JSON for the `--json` CLI flag; CI archives it as the
+ * static-analysis artifact.
  */
 std::string formatJson(const Report &report);
 

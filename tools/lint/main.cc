@@ -3,23 +3,16 @@
  * deepstore_lint CLI.
  *
  *   deepstore_lint --root <repo-root> [--rules D1,D4] [-q] [--json]
- *                  [--emit-inventory FILE] [--check-inventory FILE]
  *   deepstore_lint [--rules ...] <file.cc> [more files...]
  *
  * Tree mode (no positional files) walks <root>/src and <root>/tests
- * with all rules including the structural D5/D11 checks and the D8
- * shared-state inventory; file mode runs the token rules on the
- * given files only (used by the fixture tests). Exit status is 0 iff
- * there are no findings and any requested inventory check passed.
+ * with all rules including the structural D5/D11 checks; file mode
+ * runs the token rules on the given files only (used by the fixture
+ * tests). Exit status is 0 iff there are no findings.
  *
- *   --json             print the machine-readable report (findings,
- *                      suppression/rule counts, D8 inventory) instead
- *                      of the text report; CI archives it
- *   --emit-inventory   write the D8 inventory JSON to FILE (use it to
- *                      refresh tools/lint/sim_state_inventory.json)
- *   --check-inventory  byte-compare the freshly built inventory
- *                      against FILE and fail on drift, so the
- *                      committed inventory can never go stale
+ *   --json  print the machine-readable report (findings, suppression
+ *           and per-rule counts) instead of the text report; CI
+ *           archives it
  */
 
 #include <cstdio>
@@ -51,17 +44,12 @@ usage()
     std::fprintf(
         stderr,
         "usage: deepstore_lint [--root DIR] [--rules D1,D2,...] "
-        "[-q] [--json]\n"
-        "                      [--emit-inventory FILE] "
-        "[--check-inventory FILE] [files...]\n"
+        "[-q] [--json] [files...]\n"
         "  tree mode (no files): lint DIR/src and DIR/tests with "
         "all rules (D1-D12)\n"
         "  file mode: lint the given files with the token rules\n"
         "  -q suppresses the per-suppression notes\n"
-        "  --json prints the machine-readable report\n"
-        "  --emit-inventory writes the D8 shared-state inventory\n"
-        "  --check-inventory fails (exit 1) if the inventory "
-        "drifted from FILE\n");
+        "  --json prints the machine-readable report\n");
     return 2;
 }
 
@@ -75,8 +63,6 @@ main(int argc, char **argv)
     std::vector<std::string> files;
     bool verbose = true;
     bool json = false;
-    std::string emit_inventory;
-    std::string check_inventory;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -88,10 +74,6 @@ main(int argc, char **argv)
             verbose = false;
         } else if (arg == "--json") {
             json = true;
-        } else if (arg == "--emit-inventory" && i + 1 < argc) {
-            emit_inventory = argv[++i];
-        } else if (arg == "--check-inventory" && i + 1 < argc) {
-            check_inventory = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -127,36 +109,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    bool inventory_ok = true;
-    std::string inventory =
-        deepstore::lint::formatInventory(report);
-    if (!emit_inventory.empty()) {
-        std::ofstream out(emit_inventory, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr,
-                         "deepstore_lint: cannot write %s\n",
-                         emit_inventory.c_str());
-            return 2;
-        }
-        out << inventory;
-    }
-    if (!check_inventory.empty()) {
-        std::ifstream in(check_inventory, std::ios::binary);
-        std::ostringstream ss;
-        if (in)
-            ss << in.rdbuf();
-        if (!in || ss.str() != inventory) {
-            std::fprintf(
-                stderr,
-                "deepstore_lint: shared-state inventory drift: %s "
-                "does not match the tree; regenerate it with\n"
-                "  deepstore_lint --root . --emit-inventory %s\n"
-                "and commit the result\n",
-                check_inventory.c_str(), check_inventory.c_str());
-            inventory_ok = false;
-        }
-    }
-
     if (json)
         std::fputs(deepstore::lint::formatJson(report).c_str(),
                    stdout);
@@ -164,5 +116,5 @@ main(int argc, char **argv)
         std::fputs(
             deepstore::lint::formatReport(report, verbose).c_str(),
             stdout);
-    return (report.clean() && inventory_ok) ? 0 : 1;
+    return report.clean() ? 0 : 1;
 }
