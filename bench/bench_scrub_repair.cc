@@ -109,17 +109,17 @@ runCell(double repair_cap, double fault_rate)
     while (ds.step()) {
     }
 
-    const auto &array = ds.array();
+    const auto &upkeep = ds.array().maintenance();
+    const auto &st = upkeep.stats();
     if (heal) {
-        if (!array.repairIdle() ||
-            array.lastRepairCompleteTick() == 0)
+        if (!upkeep.repairIdle() || st.lastRepairCompleteTick == 0)
             fatal("repair never reached full replication");
-        out.timeToRepairSeconds = ticksToSeconds(
-            array.lastRepairCompleteTick() - kill_tick);
-        out.repairPages = array.repairPagesCopied();
-        out.scrubScanned = array.scrubPagesScanned();
-        out.scrubFound = array.scrubUncorrectableFound();
-        out.scrubRepaired = array.scrubLatentRepaired();
+        out.timeToRepairSeconds =
+            ticksToSeconds(st.lastRepairCompleteTick - kill_tick);
+        out.repairPages = st.repairPagesCopied;
+        out.scrubScanned = st.scrubPagesScanned;
+        out.scrubFound = st.scrubUncorrectableFound;
+        out.scrubRepaired = st.scrubLatentRepaired;
     }
     return out;
 }

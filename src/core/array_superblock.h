@@ -34,7 +34,7 @@ struct SuperblockImage
     std::uint64_t epoch = 0;
     /** MetadataStore::serialize() payload. */
     std::vector<std::uint8_t> metadataBlob;
-    /** ArrayCoordinator::serializeShardMap() payload. */
+    /** ShardMap::serializeShardMap() payload. */
     std::vector<std::uint8_t> shardMapBlob;
 };
 

@@ -109,7 +109,8 @@ DeepStore::writeDB(std::shared_ptr<FeatureSource> source)
     // alive node (plus replicas), each chunk programmed through its
     // own node's channels. A single-node array degenerates to one
     // part at the node's next free LPN — the pre-array layout.
-    auto parts = array_->stripeDb(feature_bytes, source->count());
+    auto parts =
+        array_->shardMap().stripeDb(feature_bytes, source->count());
     for (const auto &part : parts)
         writePagesTimedOn(array_->node(part.node), part.lpnStart,
                           part.pages, TimeComponent::HostWrite);
@@ -124,7 +125,7 @@ DeepStore::writeDB(std::shared_ptr<FeatureSource> source)
                       .translate(parts.front().lpnStart);
 
     std::uint64_t db_id = metadata_.add(md);
-    array_->bindDb(db_id, feature_bytes, source->count(), parts);
+    array_->shardMap().bindDb(db_id, feature_bytes, parts);
     sources_[db_id] = std::move(source);
     return db_id;
 }
@@ -142,13 +143,15 @@ DeepStore::appendDB(std::uint64_t db_id,
               static_cast<long long>(source->dim()),
               static_cast<long long>(existing->dim()));
 
-    // Buffered append (§4.7.2): the coordinator grows the last shard
-    // on every placement, returning only the whole new pages each
-    // node must program.
-    auto parts = array_->growDb(db_id, source->count());
+    // Buffered append (§4.7.2): the shard map grows the last shard
+    // on every live placement, returning only the pages each node
+    // must program.
+    ShardMap &map = array_->shardMap();
+    auto parts = map.growDb(db_id, source->count());
     for (const auto &part : parts)
         writePagesTimedOn(array_->node(part.node), part.lpnStart,
                           part.pages, TimeComponent::HostWrite);
+    map.bindRuns(db_id, parts);
     md.numFeatures += source->count();
     metadata_.update(md);
     existing = std::make_shared<CompositeFeatureSource>(
@@ -172,7 +175,7 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
               static_cast<unsigned long long>(md.numFeatures));
     // Timing: read the covering pages of every overlapped shard over
     // the host interface (nodes serve their segments concurrently).
-    auto segs = array_->readSegments(db_id, start, num);
+    auto segs = array_->shardMap().readSegments(db_id, start, num);
     std::uint64_t pages = 0;
     for (const auto &seg : segs)
         pages += seg.pages;
@@ -402,17 +405,18 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         // (§4.2). No scatter — the array submits a single sub-query.
         LevelPerf compute_perf = model_.evaluateModel(
             Level::ChannelLevel, m.bundle.model, db.featureBytes);
-        auto target = array_->homeTarget(db_id, db_start, db_end);
+        const auto targets =
+            array_->shardMap().overlap(db_id, db_start, db_end).targets;
         std::uint32_t node_i;
         QuerySubmission sub;
-        if (target) {
-            node_i = target->node;
-            sub = builder(*target, qid);
+        if (!targets.empty()) {
+            node_i = targets.front().node;
+            sub = builder(targets.front(), qid);
         } else {
             // Every overlapping shard lost its last replica: the hit
             // still rescores from DRAM on a surviving node, with no
             // flash leg.
-            node_i = array_->homeNodeFor(db_id, db_start);
+            node_i = array_->firstAliveNode();
             sub.queryId = qid;
             sub.level = level;
             sub.numAccelerators = perf.placement.numAccelerators;
@@ -661,7 +665,7 @@ DeepStore::persistMetadata()
     SuperblockImage image;
     image.epoch = ++metadataEpoch_;
     image.metadataBlob = metadata_.serialize();
-    image.shardMapBlob = array_->serializeShardMap();
+    image.shardMapBlob = array_->shardMap().serializeShardMap();
     const std::vector<std::uint8_t> encoded =
         encodeSuperblock(image);
 
@@ -782,7 +786,7 @@ DeepStore::reloadMetadata()
               "survived on any alive node");
     metadata_.clear();
     metadata_.deserialize(best->metadataBlob);
-    array_->restoreShardMap(best->shardMapBlob);
+    array_->shardMap().restoreShardMap(best->shardMapBlob);
     metadataEpoch_ = best->epoch;
 }
 

@@ -279,6 +279,7 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
                 break;
             }
             const auto &array = store_.array();
+            const auto &upkeep = array.maintenance().stats();
             out->clear();
             for (std::uint32_t i = 0; i < array.nodeCount(); ++i) {
                 const auto &node = array.node(i);
@@ -291,9 +292,9 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
                 out->push_back(
                     static_cast<float>(node.nocWaitTicks()));
                 out->push_back(static_cast<float>(
-                    array.scrubPagesScannedOn(i)));
+                    upkeep.scrubPagesScannedOn.at(i)));
                 out->push_back(static_cast<float>(
-                    array.repairPagesCopiedTo(i)));
+                    upkeep.repairPagesCopiedTo.at(i)));
             }
             done.result =
                 static_cast<std::uint64_t>(array.nodeCount()) |

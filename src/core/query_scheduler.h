@@ -107,6 +107,8 @@ const char *toString(QueryState s);
 bool isTerminal(QueryState s);
 
 /** Why a query reached its terminal state. */
+/** Declared in precedence order: an array query's outcome is the
+ *  max over its sub-queries'. */
 enum class QueryOutcome
 {
     Success,          ///< full coverage (state Complete)

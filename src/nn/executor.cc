@@ -86,7 +86,11 @@ Executor::score(const std::vector<float> &qfv,
     return scoreFromOutput(run(qfv, dfv));
 }
 
-std::vector<float>
+// Cache-line aligned so the kernel loops below keep their offset
+// from 32-byte fetch windows wherever the linker places this object:
+// a 16-byte shift caused by unrelated code elsewhere in the engine
+// slowed host scoring by ~15% on a 4-core Xeon VM.
+[[gnu::aligned(64)]] std::vector<float>
 Executor::runLayer(std::size_t idx, const std::vector<float> &in,
                    const std::vector<float> &aux) const
 {

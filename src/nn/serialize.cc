@@ -103,8 +103,10 @@ class Reader
             fatal("model blob corrupt: negative float count");
         check(static_cast<std::size_t>(n) * sizeof(float));
         std::vector<float> v(static_cast<std::size_t>(n));
-        std::memcpy(v.data(), in_.data() + pos_,
-                    v.size() * sizeof(float));
+        // An empty vector's data() may be null: memcpy must not see it.
+        if (!v.empty())
+            std::memcpy(v.data(), in_.data() + pos_,
+                        v.size() * sizeof(float));
         pos_ += v.size() * sizeof(float);
         return v;
     }

@@ -38,13 +38,6 @@
 namespace deepstore::core {
 namespace {
 
-/** n identical default-geometry nodes. */
-std::vector<ssd::FlashParams>
-homogeneous(std::size_t n, const ssd::FlashParams &flash = {})
-{
-    return std::vector<ssd::FlashParams>(n, flash);
-}
-
 // ---- single-node passthrough: golden tick pins -------------------
 
 TEST(ArrayPassthrough, ExplicitOneNodeArrayReproducesGoldenTicks)
@@ -164,7 +157,7 @@ TEST(ArrayStriping, WriteDbStripesAndReadDbReassembles)
 
     auto src = randomDb(dim, features, 17);
     std::uint64_t db = ds.writeDB(src);
-    EXPECT_EQ(ds.array().shardCount(db), 4u);
+    EXPECT_EQ(ds.array().shardMap().db(db).shards.size(), 4u);
 
     // Round-trip: every feature comes back bit-exact from whichever
     // node its stripe landed on, in global order.
@@ -482,6 +475,16 @@ TEST(ArrayNodeDeath, KillNodeIsIdempotentAndRangeChecked)
     ds.dumpStats(os);
     EXPECT_NE(os.str().find("array.nodeDeaths = 1"),
               std::string::npos);
+}
+
+TEST(ArrayNodeDeath, ScheduledDeathAtTickZeroIsRejected)
+{
+    // atTick defaults to 0, so `{node}` alone would schedule nothing:
+    // the coordinator refuses it instead of dropping it silently.
+    DeepStoreConfig cfg;
+    cfg.array.nodes = homogeneous(2);
+    cfg.array.nodeDeaths = {{1, 0}};
+    EXPECT_THROW(DeepStore ds(cfg), FatalError);
 }
 
 } // namespace

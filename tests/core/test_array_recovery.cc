@@ -39,21 +39,6 @@
 namespace deepstore::core {
 namespace {
 
-/** n identical default-geometry nodes. */
-std::vector<ssd::FlashParams>
-homogeneous(std::size_t n, const ssd::FlashParams &flash = {})
-{
-    return std::vector<ssd::FlashParams>(n, flash);
-}
-
-/** Run the event queue dry (background scrub/repair included). */
-void
-drainAll(DeepStore &ds)
-{
-    while (ds.step()) {
-    }
-}
-
 // ---- superblock codec --------------------------------------------
 
 TEST(Superblock, CodecRoundTripsAndRejectsTornImages)
@@ -300,17 +285,17 @@ TEST(ArrayRepair, RepairRestoresReplicationForASecondDeath)
     ASSERT_EQ(ds.killNode(1), KillNodeResult::Killed);
     drainAll(ds); // background repair runs to completion
 
-    const auto &array = ds.array();
-    EXPECT_TRUE(array.repairIdle());
-    EXPECT_GT(array.repairShardsRepaired(), 0u);
-    EXPECT_GT(array.repairPagesCopied(), 0u);
-    EXPECT_GT(array.repairBytesOverFabric(), 0u);
-    EXPECT_GT(array.lastRepairCompleteTick(), 0u);
+    const auto &upkeep = ds.array().maintenance();
+    EXPECT_TRUE(upkeep.repairIdle());
+    EXPECT_GT(upkeep.stats().repairShardsRepaired, 0u);
+    EXPECT_GT(upkeep.stats().repairPagesCopied, 0u);
+    EXPECT_GT(upkeep.stats().repairBytesOverFabric, 0u);
+    EXPECT_GT(upkeep.stats().lastRepairCompleteTick, 0u);
     // Copies landed only on the survivors.
-    EXPECT_EQ(array.repairPagesCopiedTo(1), 0u);
-    EXPECT_EQ(array.repairPagesCopiedTo(0) +
-                  array.repairPagesCopiedTo(2),
-              array.repairPagesCopied());
+    EXPECT_EQ(upkeep.stats().repairPagesCopiedTo.at(1), 0u);
+    EXPECT_EQ(upkeep.stats().repairPagesCopiedTo.at(0) +
+                  upkeep.stats().repairPagesCopiedTo.at(2),
+              upkeep.stats().repairPagesCopied);
 
     // Replication is restored: losing a *second* drive still leaves
     // one alive copy of every shard.
@@ -326,6 +311,96 @@ TEST(ArrayRepair, RepairRestoresReplicationForASecondDeath)
               std::string::npos);
     EXPECT_NE(os.str().find("array.repair.pagesCopied"),
               std::string::npos);
+}
+
+TEST(ArrayRepair, AppendAfterRepairRewritesDisplacedShards)
+{
+    DeepStoreConfig cfg;
+    cfg.array.nodes = homogeneous(3);
+    cfg.array.replication = 2;
+    cfg.array.repair.enabled = true;
+    DeepStore ds(cfg);
+
+    auto src = randomDb(64, 1200, 31);
+    std::uint64_t db = ds.writeDB(src);
+    std::uint64_t model = ds.loadModel(dotModel(64));
+    ASSERT_EQ(ds.killNode(1), KillNodeResult::Killed);
+    drainAll(ds);
+    ASSERT_TRUE(ds.array().maintenance().repairIdle());
+
+    // The repair copies now sit above the last shard's runs on both
+    // survivors, so the append rewrites that shard on each of them.
+    auto more = randomDb(64, 300, 32);
+    ds.appendDB(db, more);
+    auto back = ds.readDB(db, 1200, 300);
+    ASSERT_EQ(back.size(), 300u);
+    for (std::uint64_t i = 0; i < 300; ++i)
+        EXPECT_EQ(back[i], more->featureAt(i));
+
+    ASSERT_EQ(ds.killNode(2), KillNodeResult::Killed);
+    std::uint64_t q = ds.querySync(src->featureAt(5), 4, model, db,
+                                   0, 0);
+    EXPECT_EQ(ds.getResults(q).outcome, QueryOutcome::Success);
+    EXPECT_DOUBLE_EQ(ds.getResults(q).coverageFraction, 1.0);
+}
+
+TEST(ArrayRepair, AppendAfterDeathLeavesTheDeadNodeAlone)
+{
+    DeepStoreConfig cfg;
+    cfg.array.nodes = homogeneous(3);
+    cfg.array.replication = 2;
+    DeepStore ds(cfg);
+
+    auto src = randomDb(64, 1200, 33);
+    std::uint64_t db = ds.writeDB(src);
+    std::uint64_t model = ds.loadModel(dotModel(64));
+    ASSERT_EQ(ds.killNode(0), KillNodeResult::Killed);
+    const std::uint64_t dead_mark = ds.array().node(0).nextFreeLpn();
+
+    // Node 0 holds a replica of the last shard; only the live
+    // primary on node 2 grows.
+    ds.appendDB(db, randomDb(64, 3000, 34));
+    EXPECT_EQ(ds.array().node(0).nextFreeLpn(), dead_mark);
+
+    std::uint64_t q = ds.querySync(src->featureAt(5), 4, model, db,
+                                   0, 0);
+    EXPECT_EQ(ds.getResults(q).outcome, QueryOutcome::Success);
+    EXPECT_DOUBLE_EQ(ds.getResults(q).coverageFraction, 1.0);
+}
+
+TEST(ArrayRepair, AppendDuringRepairReplansTheGrownShard)
+{
+    DeepStoreConfig cfg;
+    cfg.array.nodes = homogeneous(3);
+    cfg.array.replication = 2;
+    cfg.array.repair.enabled = true;
+    cfg.array.repair.bandwidthBytesPerSecond = 100e6; // slow copies
+    DeepStore ds(cfg);
+
+    auto src = randomDb(64, 1200, 35);
+    std::uint64_t db = ds.writeDB(src);
+    std::uint64_t model = ds.loadModel(dotModel(64));
+    // Node 2 held shard 1 (re-copied to node 0) and the last shard
+    // (re-copied to node 1, queued behind shard 1).
+    ASSERT_EQ(ds.killNode(2), KillNodeResult::Killed);
+    const auto &upkeep = ds.array().maintenance();
+    while (upkeep.stats().repairPagesCopied == 0)
+        ASSERT_TRUE(ds.step());
+
+    // Growing the last shard makes its queued copy stale: it is
+    // dropped and re-planned at the new size.
+    ds.appendDB(db, randomDb(64, 300, 36));
+    drainAll(ds);
+    EXPECT_TRUE(upkeep.repairIdle());
+    const ShardMap &map = ds.array().shardMap();
+    EXPECT_EQ(upkeep.stats().repairPagesCopiedTo.at(1),
+              map.pagesOn(1, 64 * 4, 700));
+
+    ASSERT_EQ(ds.killNode(0), KillNodeResult::Killed);
+    std::uint64_t q = ds.querySync(src->featureAt(5), 4, model, db,
+                                   0, 0);
+    EXPECT_EQ(ds.getResults(q).outcome, QueryOutcome::Success);
+    EXPECT_DOUBLE_EQ(ds.getResults(q).coverageFraction, 1.0);
 }
 
 TEST(ArrayRepair, PowerLossDuringActiveRepairRestartsAndCompletes)
@@ -351,10 +426,10 @@ TEST(ArrayRepair, PowerLossDuringActiveRepairRestartsAndCompletes)
                               [&ds] { ds.powerLoss(); });
     drainAll(ds);
 
-    const auto &array = ds.array();
-    EXPECT_TRUE(array.repairIdle());
-    EXPECT_GT(array.repairShardsRepaired(), 0u);
-    EXPECT_GT(array.lastRepairCompleteTick(), 0u);
+    const auto &upkeep = ds.array().maintenance();
+    EXPECT_TRUE(upkeep.repairIdle());
+    EXPECT_GT(upkeep.stats().repairShardsRepaired, 0u);
+    EXPECT_GT(upkeep.stats().lastRepairCompleteTick, 0u);
 
     ASSERT_EQ(ds.killNode(2), KillNodeResult::Killed);
     std::uint64_t q = ds.querySync(src->featureAt(3), 4, model, db,
@@ -387,14 +462,14 @@ TEST(ArrayScrub, PowerLossMidPassRestartsAndStillTerminates)
                               [&ds] { ds.powerLoss(); });
     drainAll(ds);
 
-    const auto &array = ds.array();
+    const auto &upkeep = ds.array().maintenance();
     // The restarted generation finished its single budgeted pass —
     // the simulation terminated, which is the regression being
     // pinned (a stale-generation wakeup would either stall the pass
     // or scrub forever).
-    EXPECT_EQ(array.scrubPassesCompleted(), 1u);
-    EXPECT_GT(array.scrubPagesScanned(), 0u);
-    EXPECT_EQ(array.scrubUncorrectableFound(), 0u);
+    EXPECT_EQ(upkeep.stats().scrubPassesCompleted, 1u);
+    EXPECT_GT(upkeep.stats().scrubPagesScanned, 0u);
+    EXPECT_EQ(upkeep.stats().scrubUncorrectableFound, 0u);
 
     std::uint64_t q = ds.querySync(src->featureAt(7), 4, model, db,
                                    0, 0);
@@ -430,14 +505,14 @@ TEST(ArrayScrub, FindsAndRepairsLatentPartialPageCorruption)
     ds.writeDB(randomDb(64, 2000, 61));
     drainAll(ds); // scrub pass + page rewrites run to completion
 
-    const auto &array = ds.array();
-    EXPECT_EQ(array.scrubPassesCompleted(), 1u);
-    EXPECT_GT(array.scrubPagesScanned(), 0u);
-    EXPECT_GT(array.scrubUncorrectableFound(), 0u);
+    const auto &upkeep = ds.array().maintenance();
+    EXPECT_EQ(upkeep.stats().scrubPassesCompleted, 1u);
+    EXPECT_GT(upkeep.stats().scrubPagesScanned, 0u);
+    EXPECT_GT(upkeep.stats().scrubUncorrectableFound, 0u);
     // Every found page had an alive replica to rewrite from.
-    EXPECT_GT(array.scrubLatentRepaired(), 0u);
-    EXPECT_LE(array.scrubLatentRepaired(),
-              array.scrubUncorrectableFound());
+    EXPECT_GT(upkeep.stats().scrubLatentRepaired, 0u);
+    EXPECT_LE(upkeep.stats().scrubLatentRepaired,
+              upkeep.stats().scrubUncorrectableFound);
 
     std::ostringstream os;
     ds.dumpStats(os);

@@ -7,7 +7,9 @@
  *    inner product and results can be checked against brute force;
  *  - mlpModel: a pair combiner plus `layers` square FC layers
  *    (compute-heavy; fully resident at dim 512);
- *  - randomDb: `count` generated features of width `dim`.
+ *  - randomDb: `count` generated features of width `dim`;
+ *  - homogeneous: n identical node geometries for an array config;
+ *  - drainAll: run an engine's event queue dry.
  *
  * Weights are seeded, so every caller sees the same model bits.
  */
@@ -19,7 +21,9 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/deepstore.h"
 #include "core/feature_source.h"
 #include "nn/serialize.h"
 #include "workloads/feature_gen.h"
@@ -53,6 +57,21 @@ randomDb(std::int64_t dim, std::uint64_t count, std::uint64_t seed)
 {
     workloads::FeatureGenerator gen(dim, 16, seed);
     return std::make_shared<core::GeneratedFeatureSource>(gen, count);
+}
+
+/** n identical default-geometry nodes. */
+inline std::vector<ssd::FlashParams>
+homogeneous(std::size_t n, const ssd::FlashParams &flash = {})
+{
+    return std::vector<ssd::FlashParams>(n, flash);
+}
+
+/** Run the event queue dry (background scrub/repair included). */
+inline void
+drainAll(core::DeepStore &ds)
+{
+    while (ds.step()) {
+    }
 }
 
 } // namespace deepstore

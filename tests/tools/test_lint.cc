@@ -240,7 +240,7 @@ TEST(LintD6, OnlyTheLiveScanPathIsInScope)
                     .clean());
 }
 
-// ---- D7: Ssd/Ftl reach-ins outside the node/array layer ---------
+// ---- D7: Ssd/Ftl reach-ins outside the node layer ---------------
 
 TEST(LintD7, BadFixtureFiresOnPointerCallAndObjectAccess)
 {
@@ -269,17 +269,18 @@ TEST(LintD7, GoodFixtureQualificationAndAllowlistAreClean)
               "metadata region owned by the engine, not scan state");
 }
 
-TEST(LintD7, NodeAndArrayLayerAreExempt)
+TEST(LintD7, NodeLayerIsExempt)
 {
-    // core/ssd_node and core/array_coordinator *are* the
-    // encapsulation layer; everything outside src/core/ (ssd/,
-    // tests/) owns its devices by definition.
+    // core/ssd_node *is* the encapsulation layer; everything outside
+    // src/core/ (ssd/, tests/) owns its devices by definition. The
+    // array layer above the nodes gets no exemption.
     EXPECT_TRUE(lintFixture("d7_bad.snippet",
                             "src/core/ssd_node.cc")
                     .clean());
-    EXPECT_TRUE(lintFixture("d7_bad.snippet",
-                            "src/core/array_coordinator.cc")
-                    .clean());
+    EXPECT_EQ(lintFixture("d7_bad.snippet",
+                          "src/core/array_coordinator.cc")
+                  .findings.size(),
+              3u);
     EXPECT_TRUE(
         lintFixture("d7_bad.snippet", "src/ssd/ssd.cc").clean());
     EXPECT_TRUE(

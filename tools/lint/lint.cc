@@ -394,8 +394,7 @@ class FileLinter
             ruleD6();
         if (opts_.enabled("D7") &&
             pathContains(path_, "src/core/") &&
-            !pathContains(path_, "core/ssd_node.") &&
-            !pathContains(path_, "core/array_coordinator."))
+            !pathContains(path_, "core/ssd_node."))
             ruleD7();
         if (opts_.enabled("D8") && inSrc(path_))
             ruleD8();

@@ -35,10 +35,11 @@
  *       `// lint:allow(D6: ...)` allowlist annotation.
  *   D7  no direct member access on Ssd/Ftl objects (`ssd_->...`,
  *       `ssd().hostRead(...)`, `ftl().translate(...)`) under
- *       src/core/ outside the node/array layer (core/ssd_node and
- *       core/array_coordinator exempt — they *are* the layer).
- *       Everything above goes through SsdNode/ArrayCoordinator
- *       passthroughs, so per-node geometry, fault domains, and
+ *       src/core/ outside the node layer (core/ssd_node exempt —
+ *       it *is* the layer). Everything above, the array's shard
+ *       map, maintenance unit and coordinator included, goes
+ *       through SsdNode passthroughs, so per-node geometry, fault
+ *       domains, and
  *       whole-drive death stay encapsulated behind the array.
  *       Deliberate escapes carry `// lint:allow(D7: ...)`.
  *
