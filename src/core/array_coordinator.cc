@@ -480,7 +480,7 @@ ArrayCoordinator::powerLoss()
     // device state drops.
     inPowerLoss_ = true;
     for (auto &nd : nodes_)
-        nd->scheduler().powerLoss();
+        nd->scheduler().failAllInFlight(QueryOutcome::PowerLoss);
     // Aggregates still pending (merges or dispatches that were on
     // the fabric when the lights went out) finalize with outcome
     // PowerLoss; their scheduled fabric events are invalidated.

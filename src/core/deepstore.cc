@@ -29,9 +29,7 @@ DeepStore::DeepStore(DeepStoreConfig config)
     // host traffic observably contend for planes and channel buses).
     SsdNodeConfig base;
     base.flash = config_.flash;
-    base.maxResidentScans = config_.maxResidentScansPerAccelerator;
-    base.shardWatchdogSeconds = config_.shardWatchdogSeconds;
-    base.maxShardRetries = config_.maxShardRetries;
+    base.recovery = config_.recovery;
     array_ = std::make_unique<ArrayCoordinator>(events_, config_.array,
                                                 std::move(base));
     // Scheduled whole-array power loss (fault schedule): collect the
@@ -308,55 +306,74 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
     seenQueries_.push_back(qfv);
     std::uint64_t qid = nextQueryId_++;
 
-    // Probe sizing is shared by the hit and miss paths; the probe
-    // itself runs once, on the home sub-query. QCN lookups fan out
-    // across the channel-level accelerators (§4.6): each unit pulls
-    // its share of the cached QFVs over the node's DRAM link and
-    // scores it on its array, behind whatever scan work already holds
-    // those resources.
-    std::uint32_t probe_units = 0;
-    Tick probe_ticks = 0;
-    std::uint64_t probe_bytes = 0;
+    // The probe is decided functionally at submit time against the
+    // cache state of *completed* queries; in-flight queries insert
+    // only when they complete.
     CacheLookup hit;
+    const LoadedModel *qcn = nullptr;
     if (queryCache_) {
-        const LoadedModel &qcn = lookupModel(qcnModelId_);
-        // The probe is decided functionally at submit time against
-        // the cache state of *completed* queries; in-flight queries
-        // insert only when they complete.
+        qcn = &lookupModel(qcnModelId_);
         hit = queryCache_->lookup(this_query);
-        LevelPerf qcn_perf = model_.evaluateModel(
-            Level::ChannelLevel, qcn.bundle.model,
-            static_cast<std::uint64_t>(
-                qcn.bundle.model.featureDim()) *
-                kBytesPerFloat);
-        probe_units = qcn_perf.placement.numAccelerators;
-        if (hit.entriesScanned > 0 && probe_units > 0) {
-            const std::uint64_t per_unit =
-                (hit.entriesScanned + probe_units - 1) / probe_units;
-            probe_ticks =
-                sim::Clock(qcn_perf.placement.array.frequencyHz)
-                    .cyclesToTicks(qcn_perf.modelRun.totalCycles() *
-                                   per_unit);
-            probe_bytes =
-                per_unit *
-                static_cast<std::uint64_t>(
-                    qcn.bundle.model.featureDim()) *
-                kBytesPerFloat;
-        }
     }
 
     const LoadedModel *mp = &m;
-    // Builds one shard's sub-query submission. Captures by value
-    // only: the coordinator keeps this builder and re-invokes it at
-    // later ticks when a node death re-stripes the shard onto a
-    // replica. The scan lowering (plan, layer bursts, weight leg)
-    // comes from the *target node's* model, so heterogeneous
-    // geometries place correctly; the flash term is real FlashCommand
-    // reads resolved through that node's FTL.
-    auto builder = [this, level, mp, k, deadline_seconds, db_id,
-                    probe_units, probe_ticks, probe_bytes](
+    // Builds one sub-query submission, lowered onto the *target
+    // node's* model so heterogeneous geometries place correctly.
+    // Captures by value only: the coordinator keeps this builder and
+    // re-invokes it at later ticks when a node death re-stripes the
+    // shard onto a replica.
+    //  - The home sub-query runs the QC probe. QCN lookups fan out
+    //    across the node's channel-level accelerators (§4.6): each
+    //    pulls its share of the cached QFVs over the node's DRAM link
+    //    and scores it on its array, behind whatever scan work
+    //    already holds those resources.
+    //  - A hit rescores the cached top-K on one channel accelerator:
+    //    the cached features already sit in SSD DRAM, so it is a DRAM
+    //    pull of the cached vectors plus the SCN burst (§4.2).
+    //  - A miss scans: the plan, layer bursts and weight leg come
+    //    from the node's model, and the flash term is real
+    //    FlashCommand reads resolved through that node's FTL.
+    auto builder = [this, level, mp, qcn, k, deadline_seconds, db_id,
+                    feature_bytes = db.featureBytes, cache_hit = hit.hit,
+                    entries = hit.entriesScanned,
+                    cached = hit.cachedResults.size()](
                        const SubTarget &t, std::uint64_t sub_id) {
         SsdNode &nd = array_->node(t.node);
+        QuerySubmission s;
+        s.queryId = sub_id;
+        s.level = level;
+        s.deadlineSeconds = deadline_seconds;
+        s.dbKey = db_id;
+        if (qcn && t.home) {
+            s.probe = true;
+            const std::uint64_t qfv_bytes =
+                static_cast<std::uint64_t>(
+                    qcn->bundle.model.featureDim()) *
+                kBytesPerFloat;
+            LevelPerf qp = nd.model().evaluateModel(
+                Level::ChannelLevel, qcn->bundle.model, qfv_bytes);
+            const std::uint64_t units =
+                qp.placement.numAccelerators;
+            if (entries > 0) {
+                const std::uint64_t per_unit =
+                    (entries + units - 1) / units;
+                s.probeComputeTicksPerUnit =
+                    sim::Clock(qp.placement.array.frequencyHz)
+                        .cyclesToTicks(qp.modelRun.totalCycles() *
+                                       per_unit);
+                s.probeDramBytesPerUnit = per_unit * qfv_bytes;
+            }
+        }
+        if (cache_hit) {
+            LevelPerf cp = nd.model().evaluateModel(
+                Level::ChannelLevel, mp->bundle.model, feature_bytes);
+            s.cacheHit = true;
+            s.hitComputeTicks =
+                sim::Clock(cp.placement.array.frequencyHz)
+                    .cyclesToTicks(cp.modelRun.totalCycles() * cached);
+            s.hitDramBytes = cached * feature_bytes;
+            return s;
+        }
         LevelPerf nperf = nd.model().evaluateModel(
             level, mp->bundle.model, t.localMd.featureBytes);
         if (!nperf.supported)
@@ -364,21 +381,12 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                   "on array node %u",
                   toString(level), mp->bundle.model.name().c_str(),
                   t.node);
-        QuerySubmission s;
-        s.queryId = sub_id;
-        s.level = level;
-        s.numAccelerators = nperf.placement.numAccelerators;
-        ScanPlan plan = nd.resolvePlan(nperf.placement, t.localMd,
-                                       t.localStart, t.localEnd);
-        s.shards = std::move(plan.units);
+        s.plan = nd.resolvePlan(nperf.placement, t.localMd,
+                                t.localStart, t.localEnd);
         // The page-retry budget rides on each shard's DFV plan (the
         // stream layer owns the bounded reissue + backoff machinery).
-        for (auto &shard : s.shards)
+        for (auto &shard : s.plan.units)
             shard.plan.maxPageRetries = config_.maxPageRetries;
-        s.pageReadsPerStep = plan.pageReadsPerStep;
-        s.featuresPerStep = plan.featuresPerStep;
-        s.planSignature = plan.signature;
-        s.deadlineSeconds = deadline_seconds;
         s.layerBurstTicksPerFeature = layerBurstTicks(nperf);
         s.featuresPerSlot = std::max<std::uint64_t>(
             1,
@@ -389,48 +397,21 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         // node's DRAM link before the merge on the embedded cores.
         s.reduceBytesPerShard =
             std::max<std::uint64_t>(k, 1) * sizeof(ScoredResult);
-        s.dbKey = db_id;
-        if (t.home) {
-            s.probeUnits = probe_units;
-            s.probeComputeTicksPerUnit = probe_ticks;
-            s.probeDramBytesPerUnit = probe_bytes;
-        }
         return s;
     };
 
-    if (queryCache_ && hit.hit) {
-        // Cached features already sit in SSD DRAM, so the hit path
-        // rescores them on one channel-level accelerator of the home
-        // node: a DRAM pull of the cached vectors plus the SCN burst
-        // (§4.2). No scatter — the array submits a single sub-query.
-        LevelPerf compute_perf = model_.evaluateModel(
-            Level::ChannelLevel, m.bundle.model, db.featureBytes);
-        const auto targets =
+    if (hit.hit) {
+        // No scatter — the array submits a single sub-query on the
+        // home node, or on a surviving node when every overlapping
+        // shard lost its last replica (the rescore needs no flash).
+        auto targets =
             array_->shardMap().overlap(db_id, db_start, db_end).targets;
-        std::uint32_t node_i;
-        QuerySubmission sub;
-        if (!targets.empty()) {
-            node_i = targets.front().node;
-            sub = builder(targets.front(), qid);
-        } else {
-            // Every overlapping shard lost its last replica: the hit
-            // still rescores from DRAM on a surviving node, with no
-            // flash leg.
-            node_i = array_->firstAliveNode();
-            sub.queryId = qid;
-            sub.level = level;
-            sub.numAccelerators = perf.placement.numAccelerators;
-            sub.dbKey = db_id;
-            sub.probeUnits = probe_units;
-            sub.probeComputeTicksPerUnit = probe_ticks;
-            sub.probeDramBytesPerUnit = probe_bytes;
-        }
-        sub.cacheHit = true;
-        sub.hitComputeTicks =
-            sim::Clock(compute_perf.placement.array.frequencyHz)
-                .cyclesToTicks(compute_perf.modelRun.totalCycles() *
-                               hit.cachedResults.size());
-        sub.hitDramBytes = hit.cachedResults.size() * db.featureBytes;
+        SubTarget home;
+        home.node = array_->firstAliveNode();
+        home.home = true;
+        if (!targets.empty())
+            home = targets.front();
+        QuerySubmission sub = builder(home, qid);
         auto cached = std::move(hit.cachedResults);
         std::vector<float> q = qfv;
         auto done = [this, qid, k, mp, source, cached,
@@ -451,7 +432,7 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
             }
             finishQuery(qid, std::move(res));
         };
-        array_->submitSingle(qid, node_i, std::move(sub),
+        array_->submitSingle(qid, home.node, std::move(sub),
                              std::move(done));
         return qid;
     }

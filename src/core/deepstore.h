@@ -56,21 +56,16 @@ struct DeepStoreConfig
     /** Default accelerator level for queries (channel level is the
      *  paper's recommended design). */
     Level defaultLevel = Level::ChannelLevel;
-    /** Max concurrent scan shards per accelerator unit (the
-     *  interleaving degree of the async scheduler). */
-    std::uint32_t maxResidentScansPerAccelerator = 8;
 
     // ---- fault tolerance -----------------------------------------
     // The flash fault schedule itself lives in flash.faults (every
     // fault decision is a pure function of its seed); these knobs
     // tune the recovery machinery layered on top.
 
-    /** Per-shard watchdog: a shard that has not finished within this
-     *  many simulated seconds of placement is snatched and
-     *  re-striped. 0 disables. */
-    double shardWatchdogSeconds = 0.0;
-    /** Re-striping budget per shard before the query degrades. */
-    std::uint32_t maxShardRetries = 2;
+    /** Per-accelerator shard residency (the interleaving degree of
+     *  the async scheduler), shard watchdog and re-striping budget;
+     *  every array node's scheduler runs with these. */
+    ShardRecoveryConfig recovery;
     /** Bounded reissue budget for an uncorrectable page read. */
     std::uint32_t maxPageRetries = 2;
 

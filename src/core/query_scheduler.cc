@@ -1,6 +1,9 @@
 #include "core/query_scheduler.h"
 
 #include <algorithm>
+#include <deque>
+#include <tuple>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/scan_core.h"
@@ -100,71 +103,53 @@ struct QueryScheduler::QueryInfo
     bool deadlineArmed = false;
 };
 
-/** What survives of a shard when its unit dies, its watchdog fires,
- *  or its query is torn down: credited progress plus the remnant
- *  plan that re-striping dispatches elsewhere. */
-struct QueryScheduler::ShardRemnant
+/** One scan shard, from placement through every re-dispatch. The
+ *  per-query constants (layer bursts, slot width, step shape, db
+ *  key, base signature) are read from the owning query's
+ *  submission. */
+struct QueryScheduler::Shard
 {
-    std::uint64_t seq = 0;
-    std::uint64_t featuresDone = 0;
-    std::uint64_t featuresLeft = 0;
-    ssd::DfvPlan plan; ///< pages still to scan (may be empty)
-    std::vector<Tick> layerTicks;
-    std::uint64_t featuresPerSlot = 1;
+    std::uint64_t queryId = 0;
+    Level level = Level::ChannelLevel;
+    std::uint32_t unit = 0;
+    std::uint32_t retries = 0;
+    /** Features this incarnation still has to scan. */
+    std::uint64_t features = 0;
+    /** Pages still to read: handed to the unit's stream on admission
+     *  and re-sliced from it when the shard is snatched (empty once
+     *  admitted, or when nothing is left to read). */
+    ssd::DfvPlan plan;
+    /** Weight feed (shared for broadcast placements; nullptr for a
+     *  resident model). */
     std::shared_ptr<WeightStream> weights;
-    std::uint64_t dbKey = 0;
-    std::uint64_t signature = 0; ///< base (query-level) signature
-    ScanStepShape shape;
+    /** Stream-sharing signature: the query's plan signature for an
+     *  original shard, unique for a re-striped remnant. */
+    std::uint64_t signature = 0;
 };
 
 /**
- * One countable accelerator instance. Holds up to `maxResident`
+ * One countable accelerator instance. Holds up to `maxResidentScans`
  * concurrently scanning shards plus a FIFO queue of waiting shards.
- * Shards are grouped by (dbKey, plan signature) into GroupScans; each
- * group owns one DfvStream of real flash reads (read-once-broadcast)
- * and the groups of one unit serialize their compute batches on the
- * unit's ComputeArbiter. All progress happens through stream-delivery
- * and batch-completion events.
+ * Shards are grouped by (dbKey, stream signature) into GroupScans;
+ * each group owns one DfvStream of real flash reads
+ * (read-once-broadcast) and the groups of one unit serialize their
+ * compute batches on the unit's ComputeArbiter. All progress happens
+ * through stream-delivery and batch-completion events.
  *
  * The unit is also the failure boundary: fail() (scheduled by the
- * fault schedule) snatches every shard — waiting or mid-scan — into
- * ShardRemnants and hands them back to the scheduler for
- * re-striping; detachShard() does the same for a single shard
- * (watchdog fires, deadlines, cancellation).
+ * fault schedule) snatches every shard — waiting or mid-scan — and
+ * hands it back to the scheduler for re-striping; detach() does the
+ * same for a single shard (watchdog fires, deadlines, cancellation).
+ * A snatched shard's record is trimmed in place to its remnant.
  */
 class QueryScheduler::AcceleratorUnit
 {
   public:
-    /** A shard placement request. */
-    struct ShardReq
+    explicit AcceleratorUnit(QueryScheduler &sched)
+        : sched_(sched), events_(sched.events_), dfv_(sched.dfv_),
+          watchdogTicks_(secondsToTicks(
+              sched.config_.recovery.shardWatchdogSeconds))
     {
-        std::uint64_t seq = 0;
-        std::uint64_t features = 0;
-        /** Per-feature compute bursts (systolic slot schedule). */
-        std::vector<Tick> layerTicks;
-        std::uint64_t featuresPerSlot = 1;
-        /** Weight feed (shared for broadcast placements). */
-        std::shared_ptr<WeightStream> weights;
-        std::uint64_t dbKey = 0;
-        /** Base (query-level) plan signature, reported in
-         *  remnants. */
-        std::uint64_t baseSignature = 0;
-        /** Stream-sharing signature (== baseSignature for original
-         *  shards; unique for re-striped remnants). */
-        std::uint64_t signature = 0;
-        ScanStepShape shape;
-        ssd::DfvPlan plan;
-    };
-
-    AcceleratorUnit(sim::EventQueue &events, QueryScheduler &sched,
-                    ssd::DfvStreamService &dfv,
-                    std::uint32_t max_resident, Tick watchdog_ticks,
-                    StatGroup &stats)
-        : events_(events), sched_(sched), dfv_(dfv),
-          maxResident_(max_resident),
-          watchdogTicks_(watchdog_ticks), stats_(stats)
-    {
-        DS_ASSERT(maxResident_ > 0);
     }
 
     ~AcceleratorUnit()
@@ -172,33 +157,31 @@ class QueryScheduler::AcceleratorUnit
         // Streams of still-open groups belong to the service; close
         // them so active() stays truthful on teardown.
         for (auto &g : groups_)
-            if (g->stream)
-                dfv_.close(*g->stream);
+            close(*g);
     }
 
     void
-    join(ShardReq req)
+    join(std::uint64_t seq)
     {
-        DS_ASSERT(req.features > 0);
+        DS_ASSERT(sched_.shards_.at(seq).features > 0);
         if (dead_) {
             // Lost a race with this unit's death; bounce the shard
             // straight back for re-striping.
-            sched_.shardFailed(remnantOf(req));
+            sched_.shardFailed(seq, 0);
             return;
         }
-        armWatchdog(req.seq);
-        if (residents_ < maxResident_)
-            admit(std::move(req));
+        armWatchdog(seq);
+        if (residents_ < sched_.config_.recovery.maxResidentScans)
+            admit(seq);
         else
-            waiting_.push_back(std::move(req));
+            waiting_.push_back(seq);
     }
 
     /**
      * Scheduled unit death: every shard (waiting or scanning) is
-     * snatched into a remnant and handed back to the scheduler; the
-     * unit refuses all future work. In-flight flash completions
-     * drain harmlessly (their streams are closed, callbacks
-     * guarded). Idempotent.
+     * snatched and handed back to the scheduler; the unit refuses all
+     * future work. In-flight flash completions drain harmlessly
+     * (their streams are closed, callbacks guarded). Idempotent.
      */
     void
     fail()
@@ -206,8 +189,9 @@ class QueryScheduler::AcceleratorUnit
         if (dead_)
             return;
         dead_ = true;
-        stats_.get("sched.unitFailures") += 1;
-        std::vector<ShardRemnant> remnants;
+        sched_.stats_.get("sched.unitFailures") += 1;
+        // (seq, features done) of every snatched shard.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> snatched;
         for (auto &g : groups_) {
             if (g->finished)
                 continue;
@@ -215,45 +199,39 @@ class QueryScheduler::AcceleratorUnit
             for (const auto &m : g->scan->memberList()) {
                 if (m.features <= pos)
                     continue; // already retired
-                remnants.push_back(remnantOfMember(*g, m));
+                snatched.emplace_back(m.id, snatch(*g, m));
             }
             g->scan->abort();
-            if (g->stream) {
-                dfv_.close(*g->stream);
-                g->stream = nullptr;
-            }
-            g->finished = true;
+            close(*g);
         }
-        for (auto &req : waiting_)
-            remnants.push_back(remnantOf(req));
+        for (std::uint64_t seq : waiting_)
+            snatched.emplace_back(seq, 0);
         waiting_.clear();
         residents_ = 0;
         for (auto &[seq, ev] : watchdogs_)
             events_.cancel(ev);
         watchdogs_.clear();
         scheduleCleanup();
-        for (auto &r : remnants)
-            sched_.shardFailed(std::move(r));
+        for (auto [seq, done] : snatched)
+            sched_.shardFailed(seq, done);
     }
 
     bool alive() const { return !dead_; }
 
     /**
      * Remove one shard without retiring it (watchdog / deadline /
-     * cancellation). Returns the remnant, or nullopt when the shard
-     * is not on this unit (already finished or in re-dispatch
-     * transit).
+     * cancellation), trimming its record to the remnant. Returns the
+     * features it completed, or nullopt when the shard is not on
+     * this unit (already finished or in re-dispatch transit).
      */
-    std::optional<ShardRemnant>
-    detachShard(std::uint64_t seq)
+    std::optional<std::uint64_t>
+    detach(std::uint64_t seq)
     {
         disarmWatchdog(seq);
-        for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-            if (it->seq != seq)
-                continue;
-            ShardRemnant r = remnantOf(*it);
-            waiting_.erase(it);
-            return r;
+        auto wit = std::find(waiting_.begin(), waiting_.end(), seq);
+        if (wit != waiting_.end()) {
+            waiting_.erase(wit);
+            return 0;
         }
         for (auto &g : groups_) {
             if (g->finished)
@@ -266,25 +244,17 @@ class QueryScheduler::AcceleratorUnit
             if (mit == members.end() ||
                 mit->features <= g->scan->position())
                 continue;
-            ShardRemnant r = remnantOfMember(*g, *mit);
+            const std::uint64_t done = snatch(*g, *mit);
             g->scan->removeMember(seq);
             DS_ASSERT(residents_ > 0);
             --residents_;
-            if (g->scan->done()) {
-                if (g->stream) {
-                    dfv_.close(*g->stream);
-                    g->stream = nullptr;
-                }
-                g->finished = true;
-            }
+            if (g->scan->done())
+                close(*g);
             scheduleCleanup();
-            return r;
+            return done;
         }
         return std::nullopt;
     }
-
-    std::size_t residents() const { return residents_; }
-    std::size_t waiting() const { return waiting_.size(); }
 
     /**
      * Schedule an auxiliary work item (QC probe share, cache-hit
@@ -295,12 +265,12 @@ class QueryScheduler::AcceleratorUnit
      * lost).
      */
     Tick
-    auxWork(Tick compute_ticks, std::uint64_t dram_bytes,
-            sim::BandwidthLink *dram)
+    auxWork(Tick compute_ticks, std::uint64_t dram_bytes)
     {
         const Tick now = events_.now();
         if (dead_)
             return now;
+        sim::BandwidthLink *dram = sched_.config_.dram;
         const Tick ready = dram && dram_bytes > 0
                                ? dram->acquire(now, dram_bytes)
                                : now;
@@ -312,60 +282,46 @@ class QueryScheduler::AcceleratorUnit
     {
         std::uint64_t dbKey = 0;
         std::uint64_t signature = 0;
-        std::uint64_t baseSignature = 0;
-        ScanStepShape shape;
-        std::uint64_t featuresPerSlot = 1;
         ssd::DfvStream *stream = nullptr;
         std::unique_ptr<GroupScan> scan;
         bool finished = false;
     };
 
-    ShardRemnant
-    remnantOf(const ShardReq &req) const
+    void
+    close(Group &g)
     {
-        ShardRemnant r;
-        r.seq = req.seq;
-        r.featuresDone = 0;
-        r.featuresLeft = req.features;
-        r.plan = req.plan;
-        r.layerTicks = req.layerTicks;
-        r.featuresPerSlot = req.featuresPerSlot;
-        r.weights = req.weights;
-        r.dbKey = req.dbKey;
-        r.signature = req.baseSignature;
-        r.shape = req.shape;
-        return r;
+        if (g.stream) {
+            dfv_.close(*g.stream);
+            g.stream = nullptr;
+        }
+        g.finished = true;
     }
 
-    ShardRemnant
-    remnantOfMember(const Group &g, const ScanMember &m) const
+    /** Trim member `m`'s shard record to its remnant — the features
+     *  it has left and the pages still to read for them — and return
+     *  the features it completed. */
+    std::uint64_t
+    snatch(const Group &g, const ScanMember &m)
     {
-        const std::uint64_t pos =
-            std::min(g.scan->position(), m.features);
-        ShardRemnant r;
-        r.seq = m.id;
-        r.featuresDone = g.scan->completedFeatures(m.id);
-        r.featuresLeft = m.features - pos;
-        if (g.stream && r.featuresLeft > 0) {
+        Shard &s = sched_.shards_.at(m.id);
+        const ScanPlan &plan = sched_.info(s.queryId).sub.plan;
+        const std::uint64_t pos = std::min(g.scan->position(), m.features);
+        s.features = m.features - pos;
+        s.plan = {};
+        if (g.stream && s.features > 0) {
             const std::uint64_t from = g.scan->pagesForPosition(pos);
             // Round the member's end up to a whole step so a partial
             // last page is re-read rather than dropped.
             const std::uint64_t end_steps =
-                (m.features + g.shape.featuresPerStep - 1) /
-                g.shape.featuresPerStep;
+                (m.features + plan.featuresPerStep - 1) /
+                plan.featuresPerStep;
             const std::uint64_t to =
                 std::min(g.stream->pagesTotal(),
-                         end_steps * g.shape.pageReadsPerStep);
+                         end_steps * plan.pageReadsPerStep);
             if (to > from)
-                r.plan = g.stream->subplan(from, to);
+                s.plan = g.stream->subplan(from, to);
         }
-        r.layerTicks = m.layerBurstTicks;
-        r.featuresPerSlot = g.featuresPerSlot;
-        r.weights = m.weights;
-        r.dbKey = g.dbKey;
-        r.signature = g.baseSignature;
-        r.shape = g.shape;
-        return r;
+        return g.scan->completedFeatures(m.id);
     }
 
     void
@@ -376,11 +332,11 @@ class QueryScheduler::AcceleratorUnit
         watchdogs_[seq] =
             events_.scheduleAfter(watchdogTicks_, [this, seq] {
                 watchdogs_.erase(seq);
-                auto r = detachShard(seq);
-                if (!r)
+                auto done = detach(seq);
+                if (!done)
                     return;
-                stats_.get("sched.watchdogFires") += 1;
-                sched_.shardFailed(std::move(*r));
+                sched_.stats_.get("sched.watchdogFires") += 1;
+                sched_.shardFailed(seq, *done);
             });
     }
 
@@ -395,49 +351,42 @@ class QueryScheduler::AcceleratorUnit
     }
 
     void
-    admit(ShardReq &&req)
+    admit(std::uint64_t seq)
     {
         ++residents_;
-        ScanMember member;
-        member.id = req.seq;
-        member.features = req.features;
-        member.layerBurstTicks = req.layerTicks;
-        member.weights = req.weights;
+        Shard &s = sched_.shards_.at(seq);
+        const QuerySubmission &sub = sched_.info(s.queryId).sub;
+        ssd::DfvPlan plan = std::exchange(s.plan, {});
+        ScanMember member{seq, s.features, sub.layerBurstTicksPerFeature,
+                          s.weights};
         // Read-once-broadcast: join an in-flight group with the same
         // database and plan, provided its stream has not advanced
         // (a later joiner would have missed broadcast pages).
         for (auto &g : groups_) {
-            if (g->finished || g->dbKey != req.dbKey ||
-                g->signature != req.signature ||
-                !g->scan->canAdmit())
+            if (g->finished || g->dbKey != sub.dbKey ||
+                g->signature != s.signature || !g->scan->canAdmit())
                 continue;
             g->scan->addMember(std::move(member));
             return;
         }
         auto g = std::make_unique<Group>();
         Group *gp = g.get();
-        gp->dbKey = req.dbKey;
-        gp->signature = req.signature;
-        gp->baseSignature = req.baseSignature;
-        gp->shape = req.shape;
-        gp->featuresPerSlot =
-            req.featuresPerSlot > 0 ? req.featuresPerSlot : 1;
-        if (!req.plan.pages.empty())
-            gp->stream = &dfv_.open(std::move(req.plan));
+        gp->dbKey = sub.dbKey;
+        gp->signature = s.signature;
+        if (!plan.pages.empty())
+            gp->stream = &dfv_.open(std::move(plan));
         gp->scan = std::make_unique<GroupScan>(
-            events_, arbiter_, gp->stream, req.shape,
-            gp->featuresPerSlot);
+            events_, arbiter_, gp->stream,
+            ScanStepShape{sub.plan.pageReadsPerStep,
+                          sub.plan.featuresPerStep},
+            sub.featuresPerSlot);
         gp->scan->onMemberDone(
-            [this](std::uint64_t seq, std::uint64_t features_ok,
+            [this](std::uint64_t id, std::uint64_t features_ok,
                    const ScanGroupSnapshot &snap) {
-                memberDone(seq, features_ok, snap);
+                memberDone(id, features_ok, snap);
             });
         gp->scan->onGroupDone([this, gp] {
-            gp->finished = true;
-            if (gp->stream) {
-                dfv_.close(*gp->stream);
-                gp->stream = nullptr;
-            }
+            close(*gp);
             scheduleCleanup();
         });
         groups_.push_back(std::move(g));
@@ -473,23 +422,22 @@ class QueryScheduler::AcceleratorUnit
                                }),
                 groups_.end());
             while (!dead_ && !waiting_.empty() &&
-                   residents_ < maxResident_) {
-                ShardReq req = std::move(waiting_.front());
+                   residents_ <
+                       sched_.config_.recovery.maxResidentScans) {
+                const std::uint64_t seq = waiting_.front();
                 waiting_.pop_front();
-                admit(std::move(req));
+                admit(seq);
             }
         });
     }
 
-    sim::EventQueue &events_;
     QueryScheduler &sched_;
+    sim::EventQueue &events_;
     ssd::DfvStreamService &dfv_;
     ComputeArbiter arbiter_;
-    std::uint32_t maxResident_;
     Tick watchdogTicks_;
-    StatGroup &stats_;
     std::vector<std::unique_ptr<Group>> groups_;
-    std::deque<ShardReq> waiting_;
+    std::deque<std::uint64_t> waiting_;
     std::map<std::uint64_t, sim::EventId> watchdogs_;
     std::size_t residents_ = 0;
     bool cleanupPending_ = false;
@@ -504,40 +452,67 @@ QueryScheduler::QueryScheduler(sim::EventQueue &events,
       injector_(config.faults),
       stats_(stats ? *stats : ownStats_)
 {
-    if (config_.maxResidentScans == 0)
+    if (config_.recovery.maxResidentScans == 0)
         fatal("maxResidentScans must be at least 1");
-    if (config_.shardWatchdogSeconds < 0.0)
+    if (config_.recovery.shardWatchdogSeconds < 0.0)
         fatal("shardWatchdogSeconds must be non-negative");
+    for (std::uint32_t n : config_.unitsAtLevel)
+        if (n == 0)
+            fatal("unitsAtLevel must be at least 1 at every level");
 }
 
 QueryScheduler::~QueryScheduler() = default;
 
-std::vector<std::unique_ptr<QueryScheduler::AcceleratorUnit>> &
-QueryScheduler::pool(Level level, std::uint32_t count)
+const QueryScheduler::QueryInfo &
+QueryScheduler::info(std::uint64_t id) const
 {
-    auto &units = pools_[level];
-    if (units.empty()) {
-        const Tick watchdog =
-            config_.shardWatchdogSeconds > 0.0
-                ? secondsToTicks(config_.shardWatchdogSeconds)
-                : 0;
-        units.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-            units.push_back(std::make_unique<AcceleratorUnit>(
-                events_, *this, dfv_, config_.maxResidentScans,
-                watchdog, stats_));
-            // Scheduled unit deaths from the fault schedule.
-            if (auto at = injector_.unitFailureTick(
-                    static_cast<std::uint32_t>(level), i)) {
-                AcceleratorUnit *u = units.back().get();
-                events_.schedule(std::max(*at, events_.now()),
-                                 [u] { u->fail(); });
-            }
+    auto it = queries_.find(id);
+    if (it == queries_.end())
+        fatal("unknown query_id %llu",
+              static_cast<unsigned long long>(id));
+    return it->second;
+}
+
+QueryScheduler::QueryInfo *
+QueryScheduler::live(std::uint64_t id)
+{
+    auto it = queries_.find(id);
+    if (it == queries_.end() || isTerminal(it->second.state))
+        return nullptr;
+    return &it->second;
+}
+
+QueryScheduler::QueryInfo *
+QueryScheduler::ownerOf(std::uint64_t seq)
+{
+    auto it = shards_.find(seq);
+    if (it == shards_.end())
+        return nullptr;
+    QueryInfo *q = live(it->second.queryId);
+    if (!q)
+        shards_.erase(it);
+    return q;
+}
+
+QueryScheduler::Pool &
+QueryScheduler::pool(Level level)
+{
+    Pool &units = pools_[level];
+    if (!units.empty())
+        return units;
+    const std::uint32_t count =
+        config_.unitsAtLevel[static_cast<std::size_t>(level)];
+    units.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        units.push_back(std::make_unique<AcceleratorUnit>(*this));
+        // Scheduled unit deaths from the fault schedule.
+        if (auto at = injector_.unitFailureTick(
+                static_cast<std::uint32_t>(level), i)) {
+            AcceleratorUnit *u = units.back().get();
+            events_.schedule(std::max(*at, events_.now()),
+                             [u] { u->fail(); });
         }
     }
-    if (units.size() != count)
-        panic("accelerator count changed for level %s: %zu vs %u",
-              core::toString(level), units.size(), count);
     return units;
 }
 
@@ -547,10 +522,9 @@ QueryScheduler::submit(QuerySubmission submission)
     DS_ASSERT(submission.queryId != 0);
     DS_ASSERT(submission.finalize);
     if (!submission.cacheHit) {
-        DS_ASSERT(submission.numAccelerators > 0);
-        DS_ASSERT(!submission.shards.empty());
-        DS_ASSERT(submission.pageReadsPerStep > 0);
-        DS_ASSERT(submission.featuresPerStep > 0);
+        DS_ASSERT(!submission.plan.units.empty());
+        DS_ASSERT(submission.plan.pageReadsPerStep > 0);
+        DS_ASSERT(submission.plan.featuresPerStep > 0);
         DS_ASSERT(!submission.layerBurstTicksPerFeature.empty());
         DS_ASSERT(submission.featuresPerSlot > 0);
     }
@@ -570,91 +544,57 @@ QueryScheduler::submit(QuerySubmission submission)
         q.deadlineArmed = true;
         q.deadlineEvent = events_.scheduleAfter(
             secondsToTicks(q.sub.deadlineSeconds), [this, id] {
-                auto qit = queries_.find(id);
-                if (qit == queries_.end() ||
-                    isTerminal(qit->second.state))
+                QueryInfo *qq = live(id);
+                if (!qq)
                     return;
-                qit->second.deadlineArmed = false;
+                qq->deadlineArmed = false;
                 stats_.get("sched.deadlineExceeded") += 1;
-                degradeQuery(qit->second,
-                             QueryOutcome::DeadlineExceeded);
+                degradeQuery(*qq, QueryOutcome::DeadlineExceeded);
             });
     }
     // QC probe: each channel-level accelerator pulls its share of
     // the cached entries over the shared DRAM link and scores it on
     // its array, behind whatever scan bursts already hold those
     // resources; the probe completes when the slowest unit finishes.
+    // An empty cache still visits every unit at zero cost.
     Tick probe_done = events_.now();
-    if (q.sub.probeUnits > 0) {
-        auto &probe_pool =
-            pool(Level::ChannelLevel, q.sub.probeUnits);
-        for (auto &unit : probe_pool)
+    if (q.sub.probe)
+        for (auto &unit : pool(Level::ChannelLevel))
             probe_done = std::max(
                 probe_done,
                 unit->auxWork(q.sub.probeComputeTicksPerUnit,
-                              q.sub.probeDramBytesPerUnit,
-                              config_.dram));
-    }
+                              q.sub.probeDramBytesPerUnit));
     q.run.probeTicks = probe_done - events_.now();
     q.state = QueryState::CacheProbe;
-    if (q.sub.cacheHit) {
-        // CacheProbe -> Reduce (rescore cached top-K on a channel
-        // accelerator) -> Complete. Every stage re-checks that the
-        // query is still live (deadlines/cancel may have fired).
-        events_.schedule(probe_done, [this, id] {
-            auto qit = queries_.find(id);
-            if (qit == queries_.end() ||
-                isTerminal(qit->second.state))
-                return;
-            QueryInfo &qq = qit->second;
-            qq.state = QueryState::Reduce;
-            // Rescore the cached top-K on one channel accelerator:
-            // pull the cached feature vectors over the DRAM link,
-            // then run the SCN burst on that unit's array.
-            Tick done;
-            auto pit = pools_.find(Level::ChannelLevel);
-            if (pit != pools_.end() && !pit->second.empty()) {
-                auto &units = pit->second;
-                done = units[id % units.size()]->auxWork(
-                    qq.sub.hitComputeTicks, qq.sub.hitDramBytes,
-                    config_.dram);
-            } else {
-                // Cache configured without probe units: rescore on
-                // the DRAM link alone.
-                const Tick now = events_.now();
-                const Tick ready =
-                    config_.dram && qq.sub.hitDramBytes > 0
-                        ? config_.dram->acquire(
-                              now, qq.sub.hitDramBytes)
-                        : now;
-                done = ready + qq.sub.hitComputeTicks;
-            }
-            events_.schedule(done, [this, id] {
-                auto qit2 = queries_.find(id);
-                if (qit2 == queries_.end() ||
-                    isTerminal(qit2->second.state))
-                    return;
-                completeQuery(qit2->second, QueryOutcome::Success);
-            });
+    events_.schedule(probe_done, [this, id] {
+        QueryInfo *qq = live(id);
+        if (!qq)
+            return;
+        if (!qq->sub.cacheHit) {
+            enterStriped(*qq);
+            return;
+        }
+        // CacheProbe -> Reduce -> Complete: rescore the cached top-K
+        // on one channel accelerator (pull the cached feature vectors
+        // over the DRAM link, then run the SCN burst on its array).
+        qq->state = QueryState::Reduce;
+        Pool &units = pool(Level::ChannelLevel);
+        const Tick done = units[id % units.size()]->auxWork(
+            qq->sub.hitComputeTicks, qq->sub.hitDramBytes);
+        events_.schedule(done, [this, id] {
+            if (QueryInfo *q2 = live(id))
+                completeQuery(*q2, QueryOutcome::Success);
         });
-    } else {
-        events_.schedule(probe_done, [this, id] {
-            auto qit = queries_.find(id);
-            if (qit == queries_.end() ||
-                isTerminal(qit->second.state))
-                return;
-            enterStriped(qit->second);
-        });
-    }
+    });
 }
 
 void
 QueryScheduler::enterStriped(QueryInfo &q)
 {
     q.state = QueryState::Striped;
-    auto &units = pool(q.sub.level, q.sub.numAccelerators);
+    Pool &units = pool(q.sub.level);
     q.outstandingShards =
-        static_cast<std::uint32_t>(q.sub.shards.size());
+        static_cast<std::uint32_t>(q.sub.plan.units.size());
     // Broadcast placements stream each slot's weight tiles over the
     // DRAM link once for the whole stripe (shared L2 / WS lockstep);
     // otherwise every shard pulls a private copy.
@@ -662,36 +602,26 @@ QueryScheduler::enterStriped(QueryInfo &q)
     if (q.sub.weightBytesPerSlot > 0 && q.sub.weightBroadcast)
         broadcast_weights = std::make_shared<WeightStream>(
             config_.dram, q.sub.weightBytesPerSlot);
-    for (auto &shard : q.sub.shards) {
-        DS_ASSERT(shard.unitIndex < units.size());
+    for (UnitScan &u : q.sub.plan.units) {
+        DS_ASSERT(u.unitIndex < units.size());
         const std::uint64_t seq = nextShardSeq_++;
-        ShardState st;
-        st.queryId = q.sub.queryId;
-        st.features = shard.features;
-        st.level = q.sub.level;
-        st.unitIndex = shard.unitIndex;
-        shards_.emplace(seq, st);
-        q.shardSeqs.push_back(seq);
-        q.totalFeatures += shard.features;
-
-        AcceleratorUnit::ShardReq req;
-        req.seq = seq;
-        req.features = shard.features;
-        req.layerTicks = q.sub.layerBurstTicksPerFeature;
-        req.featuresPerSlot = q.sub.featuresPerSlot;
+        Shard s;
+        s.queryId = q.sub.queryId;
+        s.level = q.sub.level;
+        s.unit = u.unitIndex;
+        s.features = u.features;
+        s.plan = std::move(u.plan);
         if (q.sub.weightBytesPerSlot > 0)
-            req.weights =
-                broadcast_weights
-                    ? broadcast_weights
-                    : std::make_shared<WeightStream>(
-                          config_.dram, q.sub.weightBytesPerSlot);
-        req.dbKey = q.sub.dbKey;
-        req.baseSignature = q.sub.planSignature;
-        req.signature = q.sub.planSignature;
-        req.shape = ScanStepShape{q.sub.pageReadsPerStep,
-                                  q.sub.featuresPerStep};
-        req.plan = std::move(shard.plan);
-        units[shard.unitIndex]->join(std::move(req));
+            s.weights = broadcast_weights
+                            ? broadcast_weights
+                            : std::make_shared<WeightStream>(
+                                  config_.dram,
+                                  q.sub.weightBytesPerSlot);
+        s.signature = q.sub.plan.signature;
+        shards_.emplace(seq, std::move(s));
+        q.shardSeqs.push_back(seq);
+        q.totalFeatures += u.features;
+        units[u.unitIndex]->join(seq);
     }
     q.state = QueryState::Scanning;
 }
@@ -701,91 +631,62 @@ QueryScheduler::shardDone(std::uint64_t seq,
                           std::uint64_t features_ok,
                           const ScanGroupSnapshot &snap)
 {
-    auto it = shards_.find(seq);
-    if (it == shards_.end())
+    QueryInfo *q = ownerOf(seq);
+    if (!q)
         return; // stale (query already degraded/cancelled)
-    QueryInfo &q = queries_.at(it->second.queryId);
-    if (isTerminal(q.state)) {
-        shards_.erase(it);
-        return;
-    }
-    q.coveredFeatures += features_ok;
+    q->coveredFeatures += features_ok;
     // Group counters at the retirement point: flash starvation and
     // weight stalls both held the array idle; backpressure is the
     // stream blocked on compute. A shared group's counters are
     // attributed to each retiring member (they all experienced the
     // contention).
-    q.run.computeStallTicks +=
+    q->run.computeStallTicks +=
         snap.starvedTicks + snap.weightStallTicks;
-    q.run.backpressureTicks += snap.backpressureTicks;
-    finishShard(q, seq);
+    q->run.backpressureTicks += snap.backpressureTicks;
+    finishShard(*q, seq);
 }
 
 void
-QueryScheduler::shardFailed(ShardRemnant r)
+QueryScheduler::shardFailed(std::uint64_t seq,
+                            std::uint64_t features_done)
 {
-    auto it = shards_.find(r.seq);
-    if (it == shards_.end())
+    QueryInfo *q = ownerOf(seq);
+    if (!q)
         return; // stale
-    ShardState &s = it->second;
-    QueryInfo &q = queries_.at(s.queryId);
-    if (isTerminal(q.state)) {
-        shards_.erase(it);
-        return;
-    }
-    q.coveredFeatures += r.featuresDone;
+    Shard &s = shards_.at(seq);
+    q->coveredFeatures += features_done;
     stats_.get("sched.shardFailures") += 1;
-    if (r.featuresLeft == 0) {
-        finishShard(q, r.seq);
+    if (s.features == 0) {
+        finishShard(*q, seq);
         return;
     }
-    if (s.retries >= config_.maxShardRetries) {
-        // Retry budget exhausted: abandon the remainder; the query
-        // will finish Degraded with partial coverage.
-        stats_.get("sched.shardsLost") += 1;
-        finishShard(q, r.seq);
-        return;
-    }
-    auto target = chooseUnit(s.level, s.unitIndex);
+    // Past the retry budget, or with no alive unit left, the
+    // remainder is abandoned; the query will finish Degraded with
+    // partial coverage.
+    std::optional<std::pair<Level, std::uint32_t>> target;
+    if (s.retries < config_.recovery.maxShardRetries)
+        target = chooseUnit(s.level, s.unit);
     if (!target) {
         stats_.get("sched.shardsLost") += 1;
-        finishShard(q, r.seq);
+        finishShard(*q, seq);
         return;
     }
     s.retries += 1;
-    s.features = r.featuresLeft;
-    s.level = target->first;
-    s.unitIndex = target->second;
+    std::tie(s.level, s.unit) = *target;
+    // A remnant's page list differs from every original per-unit
+    // plan, so it must never join an in-flight broadcast group.
+    s.signature = remnantSignature(q->sub.plan.signature, seq, s.retries);
     stats_.get("sched.shardReassignments") += 1;
     // Exponential backoff in simulated time before the re-dispatch.
     const Tick backoff = secondsToTicks(
         kShardRetryBackoffSeconds *
         static_cast<double>(1ULL << (s.retries - 1)));
-    const std::uint64_t seq = r.seq;
-    events_.scheduleAfter(
-        backoff, [this, seq, r = std::move(r)]() mutable {
-            auto sit = shards_.find(seq);
-            if (sit == shards_.end())
-                return; // finished/cancelled while in transit
-            ShardState &st = sit->second;
-            auto qit = queries_.find(st.queryId);
-            if (qit == queries_.end() ||
-                isTerminal(qit->second.state))
-                return;
-            AcceleratorUnit::ShardReq req;
-            req.seq = seq;
-            req.features = st.features;
-            req.layerTicks = std::move(r.layerTicks);
-            req.featuresPerSlot = r.featuresPerSlot;
-            req.weights = std::move(r.weights);
-            req.dbKey = r.dbKey;
-            req.baseSignature = r.signature;
-            req.signature =
-                remnantSignature(r.signature, seq, st.retries);
-            req.shape = r.shape;
-            req.plan = std::move(r.plan);
-            pools_.at(st.level)[st.unitIndex]->join(std::move(req));
-        });
+    events_.scheduleAfter(backoff, [this, seq] {
+        if (!ownerOf(seq))
+            return; // finished/cancelled while in transit
+        const Shard &st = shards_.at(seq);
+        pool(st.level)[st.unit]->join(seq);
+    });
 }
 
 void
@@ -810,32 +711,24 @@ QueryScheduler::finishShard(QueryInfo &q, std::uint64_t seq)
     q.run.reduceTicks += done - now;
     const std::uint64_t id = q.sub.queryId;
     events_.schedule(done, [this, id] {
-        auto it = queries_.find(id);
-        if (it == queries_.end() || isTerminal(it->second.state))
+        QueryInfo *qq = live(id);
+        if (!qq)
             return;
-        QueryInfo &qq = it->second;
-        completeQuery(qq,
-                      qq.coveredFeatures >= qq.totalFeatures
-                          ? QueryOutcome::Success
-                          : QueryOutcome::Degraded);
+        completeQuery(*qq, qq->coveredFeatures >= qq->totalFeatures
+                               ? QueryOutcome::Success
+                               : QueryOutcome::Degraded);
     });
 }
 
 bool
 QueryScheduler::cancel(std::uint64_t query_id)
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end() || isTerminal(it->second.state))
+    QueryInfo *q = live(query_id);
+    if (!q)
         return false;
     stats_.get("sched.queriesCancelled") += 1;
-    degradeQuery(it->second, QueryOutcome::Aborted);
+    degradeQuery(*q, QueryOutcome::Aborted);
     return true;
-}
-
-void
-QueryScheduler::powerLoss()
-{
-    failAllInFlight(QueryOutcome::PowerLoss);
 }
 
 void
@@ -844,20 +737,20 @@ QueryScheduler::failAllInFlight(QueryOutcome outcome)
     // Collect first: degradeQuery mutates queries_ state and runs
     // finalize callbacks which may inspect the scheduler. queries_
     // is an ordered map, so the kill order is deterministic.
-    std::vector<std::uint64_t> live;
+    std::vector<std::uint64_t> ids;
     for (const auto &[id, q] : queries_) {
         if (!isTerminal(q.state))
-            live.push_back(id);
+            ids.push_back(id);
     }
     const char *counter = outcome == QueryOutcome::PowerLoss
                               ? "sched.powerLossKills"
                               : "sched.nodeDeathKills";
-    for (std::uint64_t id : live) {
-        auto it = queries_.find(id);
-        if (it == queries_.end() || isTerminal(it->second.state))
+    for (std::uint64_t id : ids) {
+        QueryInfo *q = live(id);
+        if (!q)
             continue;
         stats_.get(counter) += 1;
-        degradeQuery(it->second, outcome);
+        degradeQuery(*q, outcome);
     }
 }
 
@@ -872,14 +765,9 @@ QueryScheduler::degradeQuery(QueryInfo &q, QueryOutcome outcome)
         auto sit = shards_.find(seq);
         if (sit == shards_.end())
             continue;
-        const ShardState &s = sit->second;
-        auto pit = pools_.find(s.level);
-        if (pit != pools_.end() &&
-            s.unitIndex < pit->second.size()) {
-            if (auto r =
-                    pit->second[s.unitIndex]->detachShard(seq))
-                q.coveredFeatures += r->featuresDone;
-        }
+        const Shard &s = sit->second;
+        if (auto done = pool(s.level)[s.unit]->detach(seq))
+            q.coveredFeatures += *done;
         shards_.erase(sit);
     }
     q.outstandingShards = 0;
@@ -910,37 +798,20 @@ QueryScheduler::completeQuery(QueryInfo &q, QueryOutcome outcome)
 std::optional<std::pair<Level, std::uint32_t>>
 QueryScheduler::chooseUnit(Level level, std::uint32_t exclude)
 {
-    auto pit = pools_.find(level);
-    if (pit != pools_.end() && !pit->second.empty()) {
-        auto &units = pit->second;
-        const std::uint32_t n =
-            static_cast<std::uint32_t>(units.size());
-        // Prefer a sibling other than the failed/slow unit; fall
-        // back to the excluded unit itself when it is the only
-        // survivor (the watchdog case: slow but alive).
-        for (std::uint32_t k = 1; k <= n; ++k) {
-            const std::uint32_t idx = (exclude + k) % n;
-            if (idx == exclude)
-                continue;
-            if (units[idx]->alive())
-                return std::make_pair(level, idx);
-        }
-        if (exclude < n && units[exclude]->alive())
-            return std::make_pair(level, exclude);
+    // Siblings first, in ring order after the failed/slow unit; the
+    // unit itself comes last (the watchdog case: slow but alive).
+    Pool &units = pool(level);
+    const auto n = static_cast<std::uint32_t>(units.size());
+    for (std::uint32_t k = 1; k <= n; ++k) {
+        const std::uint32_t idx = (exclude + k) % n;
+        if (units[idx]->alive())
+            return std::make_pair(level, idx);
     }
-    // No alive sibling: walk up to the parent level.
+    // No alive unit at this level: walk up to the parent level.
     for (auto up = parentLevel(level); up; up = parentLevel(*up)) {
-        const auto lid = static_cast<std::size_t>(*up);
-        std::uint32_t count = config_.unitsAtLevel[lid];
-        auto existing = pools_.find(*up);
-        if (existing != pools_.end() && !existing->second.empty())
-            count = static_cast<std::uint32_t>(
-                existing->second.size());
-        if (count == 0)
-            continue; // pool size unknown and not yet built
-        auto &units = pool(*up, count);
-        for (std::uint32_t i = 0; i < count; ++i)
-            if (units[i]->alive())
+        Pool &parent = pool(*up);
+        for (std::uint32_t i = 0; i < parent.size(); ++i)
+            if (parent[i]->alive())
                 return std::make_pair(*up, i);
     }
     return std::nullopt;
@@ -958,21 +829,13 @@ QueryScheduler::state(std::uint64_t query_id) const
 QueryOutcome
 QueryScheduler::outcome(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    return it->second.outcome;
+    return info(query_id).outcome;
 }
 
 double
 QueryScheduler::coverageFraction(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    const QueryInfo &q = it->second;
+    const QueryInfo &q = info(query_id);
     if (q.totalFeatures == 0)
         return q.outcome == QueryOutcome::Success ? 1.0 : 0.0;
     double f = static_cast<double>(q.coveredFeatures) /
@@ -983,75 +846,30 @@ QueryScheduler::coverageFraction(std::uint64_t query_id) const
 std::uint64_t
 QueryScheduler::coveredFeatures(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    const QueryInfo &q = it->second;
+    const QueryInfo &q = info(query_id);
     return std::min(q.coveredFeatures, q.totalFeatures);
-}
-
-std::uint64_t
-QueryScheduler::totalFeatures(std::uint64_t query_id) const
-{
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    return it->second.totalFeatures;
 }
 
 Tick
 QueryScheduler::submitTick(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    return it->second.submitTick;
+    return info(query_id).submitTick;
 }
 
 Tick
 QueryScheduler::completeTick(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    if (!isTerminal(it->second.state))
+    const QueryInfo &q = info(query_id);
+    if (!isTerminal(q.state))
         fatal("query %llu has not completed",
               static_cast<unsigned long long>(query_id));
-    return it->second.completeTick;
+    return q.completeTick;
 }
 
 QueryRunStats
 QueryScheduler::runStats(std::uint64_t query_id) const
 {
-    auto it = queries_.find(query_id);
-    if (it == queries_.end())
-        fatal("unknown query_id %llu",
-              static_cast<unsigned long long>(query_id));
-    return it->second.run;
-}
-
-std::size_t
-QueryScheduler::residentShards() const
-{
-    std::size_t n = 0;
-    for (const auto &[level, units] : pools_)
-        for (const auto &unit : units)
-            n += unit->residents();
-    return n;
-}
-
-std::size_t
-QueryScheduler::waitingShards() const
-{
-    std::size_t n = 0;
-    for (const auto &[level, units] : pools_)
-        for (const auto &unit : units)
-            n += unit->waiting();
-    return n;
+    return info(query_id).run;
 }
 
 } // namespace deepstore::core

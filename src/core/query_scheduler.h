@@ -50,17 +50,22 @@
  *
  * Fault tolerance (the shard-level recovery state machine): the
  * FaultConfig schedule can kill whole accelerator units at a tick;
- * a per-shard watchdog catches silently-slow shards. In both cases
- * the dead/stuck shard's *remaining* feature range is re-striped
- * onto an alive sibling unit at the same level (falling back to the
- * parent level when no sibling survives), with bounded retries and
- * exponential backoff in simulated time. A query whose shards
- * exhaust their retry budget — or that hits its deadline, or is
- * cancelled — finishes in the Degraded terminal state, reporting the
- * fraction of its range that was actually scanned. Every recovery
- * decision is a deterministic consequence of the (seeded) fault
- * schedule, so degraded runs replay bit-identically; with an empty
- * schedule the datapath is tick-identical to a fault-free build.
+ * a per-shard watchdog catches silently-slow shards. Each shard is
+ * one scheduler-owned record from placement to its last re-dispatch
+ * (query, level and unit, retries, remaining features and pages,
+ * weight feed, stream signature). When its unit dies or its watchdog
+ * fires, the same record becomes the remnant: its features are
+ * credited and its plan is trimmed (DfvStream::subplan) to the pages
+ * still unread, and it is re-striped onto an alive sibling unit at
+ * the same level (falling back to the parent level when no sibling
+ * is alive), with bounded retries and exponential backoff in
+ * simulated time. A query whose shards exhaust their retry budget —
+ * or that hits its deadline, or is cancelled — finishes in the
+ * Degraded terminal state, reporting the fraction of its range that
+ * was actually scanned. Every recovery decision is a deterministic
+ * consequence of the (seeded) fault schedule, so degraded runs
+ * replay bit-identically; with an empty schedule the datapath is
+ * tick-identical to a fault-free build.
  *
  * Per-query latency is defined as completion tick - submit tick
  * (queueing included); runStats() exposes the per-query contention
@@ -71,7 +76,6 @@
 #define DEEPSTORE_CORE_QUERY_SCHEDULER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -120,8 +124,10 @@ enum class QueryOutcome
 
 const char *toString(QueryOutcome o);
 
-/** Scheduler tuning knobs. */
-struct QuerySchedulerConfig
+/** Shard residency and recovery settings, declared once and shared
+ *  by the engine, every array node and its scheduler (validated by
+ *  the scheduler's constructor). */
+struct ShardRecoveryConfig
 {
     /**
      * Max concurrent scan shards resident on one accelerator unit;
@@ -129,10 +135,6 @@ struct QuerySchedulerConfig
      * (and the FLASH_DFV buffering the controller must provide).
      */
     std::uint32_t maxResidentScans = 8;
-
-    /** Fault schedule (accelerator-unit failures consult the
-     *  AcceleratorUnit domain). Empty by default. */
-    FaultConfig faults;
 
     /** Per-shard watchdog: a shard (waiting or scanning) that has
      *  not finished within this many simulated seconds of placement
@@ -143,11 +145,20 @@ struct QuerySchedulerConfig
      *  fires); an exhausted shard abandons its remainder and the
      *  query degrades. */
     std::uint32_t maxShardRetries = 2;
+};
+
+/** Scheduler tuning knobs. */
+struct QuerySchedulerConfig
+{
+    ShardRecoveryConfig recovery;
+
+    /** Fault schedule (accelerator-unit failures consult the
+     *  AcceleratorUnit domain). Empty by default. */
+    FaultConfig faults;
 
     /** Accelerator count per level (indexed by Level's underlying
-     *  value), used to build the *parent*-level pool when re-striping
-     *  has to fall back a level. 0 = unknown (no fallback possible
-     *  unless that pool already exists). */
+     *  value): the node's geometry, which sizes every unit pool.
+     *  Each count must be at least 1. */
     std::uint32_t unitsAtLevel[3] = {0, 0, 0};
 
     /** Shared SSD DRAM channel that weight streams, probe reads,
@@ -165,17 +176,13 @@ struct QuerySubmission
 {
     std::uint64_t queryId = 0;
     Level level = Level::ChannelLevel;
-    std::uint32_t numAccelerators = 0;
 
-    /** Per-unit physical scan shards (resolveScanPlan output; units
-     *  without features in the range are absent). Plans are moved
-     *  into the units' DFV streams on admission. */
-    std::vector<UnitScan> shards;
-
-    /** Delivered-pages -> ready-features step shape shared by every
-     *  shard (resolveScanPlan output). */
-    std::uint64_t pageReadsPerStep = 1;
-    std::uint64_t featuresPerStep = 1;
+    /** The resolved scan (resolveScanPlan output): one shard per unit
+     *  that holds features in the range, the delivered-pages ->
+     *  ready-features step shape they share, and the plan signature
+     *  a read-once-broadcast join requires. Shard plans move into the
+     *  scheduler's shard records on striping. */
+    ScanPlan plan;
 
     /** Per-feature compute bursts on the array, one per model layer
      *  (the systolic slot schedule lowered onto the unit's clock via
@@ -200,14 +207,10 @@ struct QuerySubmission
      *  with equal keys *and* plan signatures share one DFV stream. */
     std::uint64_t dbKey = 0;
 
-    /** Plan identity (resolveScanPlan signature): joining an
-     *  in-flight broadcast stream requires identical per-unit
-     *  plans. */
-    std::uint64_t planSignature = 0;
-
-    /** Channel-level accelerators the Query Cache probe fans out
-     *  over (0 = no cache, probe is free). */
-    std::uint32_t probeUnits = 0;
+    /** Run the Query Cache probe: it fans out over every
+     *  channel-level accelerator of the node (false = no cache, the
+     *  probe is free). */
+    bool probe = false;
 
     /** QCN compute burst per probe unit (its share of the cached
      *  entries, lowered onto the probe array's clock). */
@@ -294,21 +297,13 @@ class QueryScheduler
     bool cancel(std::uint64_t query_id);
 
     /**
-     * Whole-device power loss: every non-terminal query terminates
-     * *now* with outcome PowerLoss, crediting the features its
-     * shards actually scanned (honest partial coverage — their
-     * finalize callbacks run synchronously, before volatile device
-     * state is dropped). Queries already terminal are untouched.
-     */
-    void powerLoss();
-
-    /**
-     * Whole-drive failure generalization of powerLoss(): every
-     * non-terminal query terminates *now* with the given outcome,
-     * crediting honest partial coverage (finalizes run
-     * synchronously). The array coordinator uses this on node death
-     * (outcome Degraded) before re-striping the remainder onto
-     * replicas; powerLoss() is failAllInFlight(PowerLoss).
+     * Whole-device failure: every non-terminal query terminates
+     * *now* with the given outcome, crediting the features its
+     * shards actually scanned (honest partial coverage — finalize
+     * callbacks run synchronously, before volatile device state is
+     * dropped). Queries already terminal are untouched. The array
+     * coordinator uses PowerLoss on power loss and Degraded on node
+     * death (before re-striping the remainder onto replicas).
      */
     void failAllInFlight(QueryOutcome outcome);
 
@@ -328,10 +323,6 @@ class QueryScheduler
      *  per-node sub-queries without float round-trips. */
     std::uint64_t coveredFeatures(std::uint64_t query_id) const;
 
-    /** Exact features requested (the coverage denominator; 0 for
-     *  cache-hit submissions, which carry no shards). */
-    std::uint64_t totalFeatures(std::uint64_t query_id) const;
-
     /** Queries submitted but not yet terminal. */
     std::size_t inFlight() const { return inFlight_; }
 
@@ -345,42 +336,36 @@ class QueryScheduler
      *  unknown ids; partial until the query is terminal). */
     QueryRunStats runStats(std::uint64_t query_id) const;
 
-    /** Scan shards currently resident across all units (occupancy
-     *  introspection for stats/benches). */
-    std::size_t residentShards() const;
-
-    /** Scan shards queued behind busy units. */
-    std::size_t waitingShards() const;
-
   private:
     struct QueryInfo;
+    struct Shard;
     class AcceleratorUnit;
-    struct ShardRemnant;
+    using Pool = std::vector<std::unique_ptr<AcceleratorUnit>>;
 
-    /** Scheduler-side state of one shard (stable across
-     *  re-striping; `features` is the current incarnation's
-     *  remaining target). */
-    struct ShardState
-    {
-        std::uint64_t queryId = 0;
-        std::uint64_t features = 0;
-        std::uint32_t retries = 0;
-        Level level = Level::ChannelLevel;
-        std::uint32_t unitIndex = 0;
-    };
+    /** Submitted query `id` (fatal for unknown ids). */
+    const QueryInfo &info(std::uint64_t id) const;
+    /** Query `id` while it is still in flight, else nullptr. */
+    QueryInfo *live(std::uint64_t id);
+    /** Live query owning shard `seq`; nullptr (dropping a stale
+     *  record) when the shard or its query is finished. */
+    QueryInfo *ownerOf(std::uint64_t seq);
 
     void enterStriped(QueryInfo &q);
     void shardDone(std::uint64_t seq, std::uint64_t features_ok,
                    const ScanGroupSnapshot &snap);
-    void shardFailed(ShardRemnant remnant);
+    /** Shard `seq` left its unit unfinished (unit death, watchdog,
+     *  or a join that lost the race with a death); its record is
+     *  already trimmed to the remnant. */
+    void shardFailed(std::uint64_t seq, std::uint64_t features_done);
     void finishShard(QueryInfo &q, std::uint64_t seq);
     void degradeQuery(QueryInfo &q, QueryOutcome outcome);
     void completeQuery(QueryInfo &q, QueryOutcome outcome);
-    std::vector<std::unique_ptr<AcceleratorUnit>> &
-    pool(Level level, std::uint32_t count);
-    /** Alive sibling at the same level (excluding `exclude` when
-     *  possible), else the first alive unit walking up parent
-     *  levels; nullopt when nothing is left. */
+    /** The level's unit pool, built on first use with the node's
+     *  unitsAtLevel count. */
+    Pool &pool(Level level);
+    /** Alive sibling at the same level (the excluded unit itself
+     *  only as a last resort), else the first alive unit walking up
+     *  parent levels; nullopt when nothing is left. */
     std::optional<std::pair<Level, std::uint32_t>>
     chooseUnit(Level level, std::uint32_t exclude);
 
@@ -391,9 +376,8 @@ class QueryScheduler
     StatGroup ownStats_;
     StatGroup &stats_;
     std::map<std::uint64_t, QueryInfo> queries_;
-    std::map<std::uint64_t, ShardState> shards_;
-    std::map<Level, std::vector<std::unique_ptr<AcceleratorUnit>>>
-        pools_;
+    std::map<std::uint64_t, Shard> shards_;
+    std::map<Level, Pool> pools_;
     std::size_t inFlight_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t nextShardSeq_ = 1;

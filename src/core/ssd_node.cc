@@ -21,12 +21,10 @@ SsdNode::SsdNode(sim::EventQueue &events, SsdNodeConfig config,
         },
         ssd_->stats());
     QuerySchedulerConfig scfg;
-    scfg.maxResidentScans = config_.maxResidentScans;
+    scfg.recovery = config_.recovery;
     // The node's accelerator-unit fault domain shares its flash
     // fault schedule's seed and unit-failure list.
     scfg.faults = config_.flash.faults;
-    scfg.shardWatchdogSeconds = config_.shardWatchdogSeconds;
-    scfg.maxShardRetries = config_.maxShardRetries;
     scfg.unitsAtLevel[static_cast<std::size_t>(Level::SsdLevel)] = 1;
     scfg.unitsAtLevel[static_cast<std::size_t>(Level::ChannelLevel)] =
         config_.flash.channels;

@@ -36,9 +36,7 @@ namespace deepstore::core {
 struct SsdNodeConfig
 {
     ssd::FlashParams flash;
-    std::uint32_t maxResidentScans = 8;
-    double shardWatchdogSeconds = 0.0;
-    std::uint32_t maxShardRetries = 2;
+    ShardRecoveryConfig recovery;
 };
 
 /** One array member: SSD + FTL + fault domain + scan station. */

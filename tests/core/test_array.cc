@@ -207,23 +207,36 @@ TEST(ArrayStriping, HeterogeneousGeometriesScanToFullCoverage)
 {
     // A big node and a small node in one array: striping, per-node
     // model evaluation, and the merge must all handle asymmetric
-    // geometry.
-    ssd::FlashParams big;   // default 16-channel drive
+    // geometry — with and without a Query Cache, whose probe fans out
+    // over the home node's own channel accelerators.
+    ssd::FlashParams big;   // default drive
     ssd::FlashParams small; // quarter-size drive
     small.channels = 4;
-    DeepStoreConfig cfg;
-    cfg.array.nodes = {big, small};
-    DeepStore ds(cfg);
-    auto src = randomDb(32, 1500, 31);
-    std::uint64_t db = ds.writeDB(src);
-    std::uint64_t model = ds.loadModel(dotModel(32));
-    std::uint64_t qid =
-        ds.querySync(src->featureAt(5), 4, model, db, 0, 0);
-    const QueryResult &res = ds.getResults(qid);
-    EXPECT_EQ(res.outcome, QueryOutcome::Success);
-    EXPECT_DOUBLE_EQ(res.coverageFraction, 1.0);
+    auto run = [](std::vector<ssd::FlashParams> nodes, bool qc,
+                  std::uint64_t start, std::uint64_t end) {
+        DeepStoreConfig cfg;
+        cfg.array.nodes = std::move(nodes);
+        DeepStore ds(cfg);
+        auto src = randomDb(32, 1500, 31);
+        std::uint64_t db = ds.writeDB(src);
+        std::uint64_t model = ds.loadModel(dotModel(32));
+        if (qc)
+            ds.setQC(ds.loadModel(dotModel(32)), 0.25, 0.99, 16);
+        std::uint64_t qid =
+            ds.querySync(src->featureAt(5), 4, model, db, start, end);
+        const QueryResult &res = ds.getResults(qid);
+        EXPECT_EQ(res.outcome, QueryOutcome::Success);
+        EXPECT_DOUBLE_EQ(res.coverageFraction, 1.0);
+        return res;
+    };
+    const QueryResult res = run({big, small}, false, 0, 0);
     EXPECT_EQ(res.nodesParticipating, 2u);
     EXPECT_GT(res.interNodeBytes, 0u);
+    // A lone small node, and a range whose home shard sits on the
+    // small node of a mixed array.
+    run({small}, true, 0, 0);
+    EXPECT_EQ(run({big, small}, true, 1200, 1500).nodesParticipating,
+              1u);
 }
 
 // ---- scale-out ---------------------------------------------------

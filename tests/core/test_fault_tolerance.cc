@@ -64,6 +64,17 @@ runOne(const DeepStoreConfig &cfg, std::int64_t dim,
     return r;
 }
 
+/** Value of counter `name` in a stats dump (-1 when absent). */
+double
+counter(const std::string &stats, const std::string &name)
+{
+    auto pos = stats.find(name);
+    if (pos == std::string::npos)
+        return -1.0;
+    pos = stats.find('=', pos);
+    return std::stod(stats.substr(pos + 1));
+}
+
 // ---- tick-identity regression ----------------------------------
 
 TEST(FaultFree, TickIdenticalToGoldenPrePRRun)
@@ -211,6 +222,7 @@ TEST(Recovery, UnitDeathRestripesOntoSiblingWithFullCoverage)
 
     RunResult clean = runOne(DeepStoreConfig{}, dim, features, 42);
     ASSERT_EQ(clean.outcome, QueryOutcome::Success);
+    EXPECT_EQ(clean.completeTick, 598859200u);
 
     DeepStoreConfig cfg;
     cfg.flash.faults.unitFailures = {
@@ -220,6 +232,7 @@ TEST(Recovery, UnitDeathRestripesOntoSiblingWithFullCoverage)
     EXPECT_EQ(r1.outcome, QueryOutcome::Success);
     EXPECT_DOUBLE_EQ(r1.coverage, 1.0);
     EXPECT_GT(r1.completeTick, clean.completeTick);
+    EXPECT_EQ(r1.completeTick, 728859200u);
     EXPECT_NE(r1.stats.find("sched.unitFailures"), std::string::npos);
     EXPECT_NE(r1.stats.find("sched.shardReassignments"),
               std::string::npos);
@@ -236,7 +249,7 @@ TEST(Recovery, ExhaustedRetryBudgetDegrades)
     // remainder is abandoned and the query terminates Degraded with
     // the surviving shards' coverage.
     DeepStoreConfig cfg;
-    cfg.maxShardRetries = 0;
+    cfg.recovery.maxShardRetries = 0;
     cfg.flash.faults.unitFailures = {
         UnitFailure{static_cast<std::uint32_t>(Level::ChannelLevel),
                     0, 552480000}};
@@ -252,16 +265,46 @@ TEST(Recovery, WatchdogSnatchesSlowShards)
     // every shard before it can make progress; after the retry
     // budget the query degrades. Every firing is deterministic.
     DeepStoreConfig cfg;
-    cfg.shardWatchdogSeconds = 30e-6; // < 53 us array read
-    cfg.maxShardRetries = 1;
+    cfg.recovery.shardWatchdogSeconds = 30e-6; // < 53 us array read
+    cfg.recovery.maxShardRetries = 1;
     RunResult r1 = runOne(cfg, 32, 500, 42);
     EXPECT_EQ(r1.outcome, QueryOutcome::Degraded);
     EXPECT_LT(r1.coverage, 1.0);
     EXPECT_NE(r1.stats.find("sched.watchdogFires"),
               std::string::npos);
+    EXPECT_EQ(r1.completeTick, 682499200u);
+    EXPECT_EQ(counter(r1.stats, "sched.shardsLost"), 4.0);
     RunResult r2 = runOne(cfg, 32, 500, 42);
     EXPECT_EQ(r1.completeTick, r2.completeTick);
     EXPECT_EQ(r1.stats, r2.stats);
+}
+
+TEST(Recovery, WholeLevelDeathFallsBackToTheParentLevel)
+{
+    // Every unit at the scan's level dies mid-scan, so no sibling is
+    // alive: each remnant re-stripes one level up (channel -> SSD,
+    // chip -> channel) and the query still reaches full coverage.
+    DeepStoreConfig channel;
+    for (std::uint32_t u = 0; u < channel.flash.channels; ++u)
+        channel.flash.faults.unitFailures.push_back(UnitFailure{
+            static_cast<std::uint32_t>(Level::ChannelLevel), u,
+            552480000});
+    RunResult r = runOne(channel, 32, 500, 42);
+    EXPECT_EQ(r.outcome, QueryOutcome::Success);
+    EXPECT_DOUBLE_EQ(r.coverage, 1.0);
+    EXPECT_EQ(r.completeTick, 937229200u);
+    EXPECT_EQ(counter(r.stats, "sched.shardReassignments"), 8.0);
+
+    DeepStoreConfig chip;
+    chip.defaultLevel = Level::ChipLevel;
+    for (std::uint32_t u = 0; u < chip.flash.totalChips(); ++u)
+        chip.flash.faults.unitFailures.push_back(UnitFailure{
+            static_cast<std::uint32_t>(Level::ChipLevel), u,
+            560000000});
+    RunResult c = runOne(chip, 32, 500, 42);
+    EXPECT_EQ(c.outcome, QueryOutcome::Success);
+    EXPECT_DOUBLE_EQ(c.coverage, 1.0);
+    EXPECT_EQ(c.completeTick, 928019200u);
 }
 
 // ---- deadlines & cancellation -----------------------------------
@@ -336,7 +379,7 @@ TEST(Cancel, PeerDegradationDoesNotCorruptSurvivor)
     // degrades; A (channel level) still completes with full
     // coverage and correct results.
     DeepStoreConfig cfg;
-    cfg.maxShardRetries = 0;
+    cfg.recovery.maxShardRetries = 0;
     for (std::uint32_t chip = 0; chip < 128; ++chip)
         cfg.flash.faults.unitFailures.push_back(UnitFailure{
             static_cast<std::uint32_t>(Level::ChipLevel), chip,
@@ -482,16 +525,6 @@ tinyFlash()
     p.blocksPerPlane = 8;
     p.pagesPerBlock = 4;
     return p;
-}
-
-double
-counter(const std::string &stats, const std::string &name)
-{
-    auto pos = stats.find(name);
-    if (pos == std::string::npos)
-        return -1.0;
-    pos = stats.find('=', pos);
-    return std::stod(stats.substr(pos + 1));
 }
 
 } // namespace

@@ -136,9 +136,9 @@ TEST(AsyncQuery, ConcurrentSameDbQueriesInterleave)
                                 3, model2, db2, 0, 0));
     EXPECT_EQ(ds.inFlight(), static_cast<std::size_t>(n));
     // Shards stripe onto the units once their probe events fire.
-    while (ds.array().node(0).scheduler().residentShards() == 0 && ds.step()) {
+    while (ds.poll(qids.front()) != QueryState::Scanning && ds.step()) {
     }
-    EXPECT_GT(ds.array().node(0).scheduler().residentShards(), 0u);
+    EXPECT_EQ(ds.poll(qids.front()), QueryState::Scanning);
     ds.drain();
     double makespan = ds.simulatedSeconds() - t0;
     double speedup = static_cast<double>(n) * single / makespan;
@@ -231,11 +231,11 @@ TEST(AsyncQuery, DeterministicAcrossIdenticalRuns)
 
 TEST(AsyncQuery, SchedulerQueuesBeyondResidencyLimit)
 {
-    // More concurrent scans than maxResidentScansPerAccelerator:
+    // More concurrent scans than recovery.maxResidentScans:
     // the excess waits FIFO instead of being dropped or serialized
     // incorrectly.
     DeepStoreConfig cfg;
-    cfg.maxResidentScansPerAccelerator = 2;
+    cfg.recovery.maxResidentScans = 2;
     DeepStore ds(cfg);
     auto src = randomDb(16, 100, 9);
     std::uint64_t db = ds.writeDB(src);
@@ -245,13 +245,18 @@ TEST(AsyncQuery, SchedulerQueuesBeyondResidencyLimit)
         qids.push_back(ds.query(
             src->featureAt(static_cast<std::uint64_t>(i)), 2, model,
             db, 0, 0));
-    // Step a few events so submissions stripe onto the units.
-    while (ds.array().node(0).scheduler().waitingShards() == 0 && ds.step()) {
-    }
-    EXPECT_GT(ds.array().node(0).scheduler().waitingShards(), 0u);
+    // Two shards per unit at a time: the five queries finish in
+    // three FIFO waves, each a full scan after the one before.
     ds.drain();
-    for (std::uint64_t qid : qids)
+    std::vector<double> latency;
+    for (std::uint64_t qid : qids) {
         EXPECT_EQ(ds.poll(qid), QueryState::Complete);
+        latency.push_back(ds.getResults(qid).latencySeconds);
+    }
+    EXPECT_LT(latency[1], 1.1 * latency[0]);
+    EXPECT_GT(latency[2], 1.5 * latency[1]);
+    EXPECT_LT(latency[3], 1.1 * latency[2]);
+    EXPECT_GT(latency[4], 1.2 * latency[3]);
 }
 
 } // namespace
