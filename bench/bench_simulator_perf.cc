@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulator itself: these
  * guard the wall-clock cost of the building blocks the paper-figure
  * harnesses lean on (event kernel, systolic evaluation, flash
- * streaming, top-K, cache lookups).
+ * streaming, top-K, cache lookups, feature lookups in an appended
+ * database).
  *
  * Besides the usual console table, the harness writes
  * BENCH_simulator_perf.json with every run's items/second and a
@@ -21,6 +22,8 @@
 
 #include "bench_common.h"
 
+#include "core/deepstore.h"
+#include "core/feature_source.h"
 #include "core/query_cache.h"
 #include "core/query_model.h"
 #include "core/topk.h"
@@ -131,6 +134,29 @@ BM_QueryCacheLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QueryCacheLookup)->Arg(100)->Arg(1000);
+
+/** readDB of row 0 after a 4-row writeDB and `appends` one-row
+ *  appendDBs: the extent lookup must not grow with the append
+ *  count. */
+void
+BM_FeatureLookupAfterAppends(benchmark::State &state)
+{
+    const auto appends = static_cast<std::uint64_t>(state.range(0));
+    const std::int64_t dim = 4;
+    core::DeepStore ds(core::DeepStoreConfig{});
+    std::uint64_t db =
+        ds.writeDB(std::make_shared<core::VectorFeatureSource>(
+            std::vector<float>(4 * dim, 1.0f), dim));
+    for (std::uint64_t i = 0; i < appends; ++i)
+        ds.appendDB(db, std::make_shared<core::VectorFeatureSource>(
+                            std::vector<float>(dim, 2.0f), dim));
+    for (auto _ : state) {
+        auto rows = ds.readDB(db, 0, 1);
+        benchmark::DoNotOptimize(rows.front().front());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FeatureLookupAfterAppends)->Arg(1)->Arg(1000);
 
 /**
  * Console output plus a machine-readable summary: every run's

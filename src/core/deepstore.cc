@@ -1,7 +1,6 @@
 #include "core/deepstore.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "core/array_superblock.h"
@@ -99,8 +98,8 @@ DeepStore::writePagesTimedOn(SsdNode &node, std::uint64_t lpn_start,
 std::uint64_t
 DeepStore::writeDB(std::shared_ptr<FeatureSource> source)
 {
-    if (!source || source->count() == 0)
-        fatal("writeDB needs a non-empty feature source");
+    if (!source || source->count() == 0 || source->dim() <= 0)
+        fatal("writeDB needs a non-empty source of positive dim");
     std::uint64_t feature_bytes =
         static_cast<std::uint64_t>(source->dim()) * kBytesPerFloat;
     // Stripe across the array: one contiguous feature chunk per
@@ -124,7 +123,7 @@ DeepStore::writeDB(std::shared_ptr<FeatureSource> source)
 
     std::uint64_t db_id = metadata_.add(md);
     array_->shardMap().bindDb(db_id, feature_bytes, parts);
-    sources_[db_id] = std::move(source);
+    sources_[db_id] = {source->dim(), source->count(), {{0, source}}};
     return db_id;
 }
 
@@ -135,11 +134,11 @@ DeepStore::appendDB(std::uint64_t db_id,
     if (!source || source->count() == 0)
         fatal("appendDB needs a non-empty feature source");
     DbMetadata md = metadata_.lookup(db_id);
-    auto &existing = sources_.at(db_id);
-    if (source->dim() != existing->dim())
+    FeatureTable &table = sources_.at(db_id);
+    if (source->dim() != table.dim)
         fatal("appendDB feature dim %lld != database dim %lld",
               static_cast<long long>(source->dim()),
-              static_cast<long long>(existing->dim()));
+              static_cast<long long>(table.dim));
 
     // Buffered append (§4.7.2): the shard map grows the last shard
     // on every live placement, returning only the pages each node
@@ -152,8 +151,8 @@ DeepStore::appendDB(std::uint64_t db_id,
     map.bindRuns(db_id, parts);
     md.numFeatures += source->count();
     metadata_.update(md);
-    existing = std::make_shared<CompositeFeatureSource>(
-        existing, std::move(source));
+    table.extents.push_back({table.rows, source});
+    table.rows += source->count();
     // Cached results may now be stale relative to the larger DB.
     if (queryCache_)
         queryCache_->invalidateAll();
@@ -162,6 +161,19 @@ DeepStore::appendDB(std::uint64_t db_id,
 std::vector<std::vector<float>>
 DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
                   std::uint64_t num)
+{
+    std::vector<float> flat;
+    readDB(db_id, start, num, flat);
+    const auto dim = static_cast<std::ptrdiff_t>(sources_.at(db_id).dim);
+    std::vector<std::vector<float>> out;
+    for (auto row = flat.cbegin(); row != flat.cend(); row += dim)
+        out.emplace_back(row, row + dim);
+    return out;
+}
+
+void
+DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
+                  std::uint64_t num, std::vector<float> &out)
 {
     const DbMetadata &md = metadata_.lookup(db_id);
     // Overflow-safe form of start + num > numFeatures (both are
@@ -202,12 +214,30 @@ DeepStore::readDB(std::uint64_t db_id, std::uint64_t start,
                         TimeComponent::HostRead);
     }
 
-    const auto &src = sources_.at(db_id);
-    std::vector<std::vector<float>> out;
-    out.reserve(num);
-    for (std::uint64_t i = 0; i < num; ++i)
-        out.push_back(src->featureAt(start + i));
-    return out;
+    out.resize(num * static_cast<std::size_t>(sources_.at(db_id).dim));
+    fillRows(db_id, start, num, out.data());
+}
+
+void
+DeepStore::fillRows(std::uint64_t db_id, std::uint64_t start,
+                    std::uint64_t n, float *out) const
+{
+    const FeatureTable &t = sources_.at(db_id);
+    DS_ASSERT(start <= t.rows && n <= t.rows - start);
+    // Start in the last extent that begins at or before `start`.
+    auto e = std::upper_bound(t.extents.begin(), t.extents.end(), start,
+                              [](std::uint64_t row, const Extent &x) {
+                                  return row < x.firstRow;
+                              });
+    for (--e; n > 0; ++e) {
+        const std::uint64_t end =
+            e + 1 == t.extents.end() ? t.rows : e[1].firstRow;
+        const std::uint64_t take = std::min(n, end - start);
+        e->source->fill(start - e->firstRow, take, out);
+        out += take * static_cast<std::size_t>(t.dim);
+        start += take;
+        n -= take;
+    }
 }
 
 std::uint64_t
@@ -301,7 +331,6 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         fatal("accelerator level %s cannot execute model '%s'",
               toString(level), m.bundle.model.name().c_str());
 
-    auto source = sources_.at(db_id);
     std::uint64_t this_query = seenQueries_.size();
     seenQueries_.push_back(qfv);
     std::uint64_t qid = nextQueryId_++;
@@ -414,7 +443,7 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         QuerySubmission sub = builder(home, qid);
         auto cached = std::move(hit.cachedResults);
         std::vector<float> q = qfv;
-        auto done = [this, qid, k, mp, source, cached,
+        auto done = [this, qid, k, mp, db_id, cached,
                      q = std::move(q)](const ArrayQueryStats &ast) {
             QueryResult res =
                 settledResult(qid, ast, TimeComponent::CacheHit);
@@ -422,9 +451,10 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                 res.featuresScanned = cached.size();
                 // Re-run the SCN on only the cached top-K features.
                 TopK topk(std::max<std::size_t>(k, 1));
+                std::vector<float> row(q.size());
                 for (const auto &c : cached) {
-                    auto dfv = source->featureAt(c.featureId);
-                    float s = mp->executor->score(q, dfv);
+                    fillRows(db_id, c.featureId, 1, row.data());
+                    float s = mp->executor->score(q, row);
                     topk.insert(
                         ScoredResult{c.featureId, c.objectId, s});
                 }
@@ -446,7 +476,7 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
     DbMetadata dbmd = db;
     std::vector<float> q = qfv;
     auto done = [this, qid, this_query, k, mp, dbmd, db_start, db_end,
-                 n_accel = perf.placement.numAccelerators, source,
+                 n_accel = perf.placement.numAccelerators,
                  q = std::move(q)](const ArrayQueryStats &ast) {
         QueryResult res = settledResult(qid, ast, TimeComponent::Scan);
         // Degraded queries report the top-K over the prefix of the
@@ -459,8 +489,7 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
         if (res.featuresScanned > 0)
             res.topK =
                 scanTopK(q, k, *mp, dbmd, db_start,
-                         db_start + res.featuresScanned, n_accel,
-                         source);
+                         db_start + res.featuresScanned, n_accel);
         if (queryCache_ && res.outcome == QueryOutcome::Success)
             queryCache_->insert(this_query, res.topK);
         finishQuery(qid, std::move(res));
@@ -586,9 +615,7 @@ std::vector<ScoredResult>
 DeepStore::scanTopK(const std::vector<float> &qfv, std::size_t k,
                     const LoadedModel &m, const DbMetadata &db,
                     std::uint64_t db_start, std::uint64_t db_end,
-                    std::uint32_t n_accel,
-                    const std::shared_ptr<FeatureSource> &source)
-    const
+                    std::uint32_t n_accel) const
 {
     // Map-reduce across accelerators (§4.7.1): each accelerator
     // scans its stripe with a private top-K, merged by the engine.
@@ -597,9 +624,10 @@ DeepStore::scanTopK(const std::vector<float> &qfv, std::size_t k,
     for (std::uint32_t a = 0; a < n_accel; ++a)
         partials.emplace_back(std::max<std::size_t>(k, 1));
 
+    std::vector<float> row(qfv.size());
     for (std::uint64_t i = db_start; i < db_end; ++i) {
-        auto dfv = source->featureAt(i);
-        float s = m.executor->score(qfv, dfv);
+        fillRows(db.dbId, i, 1, row.data());
+        float s = m.executor->score(qfv, row);
         std::uint64_t ppn =
             db.featurePpn(i, config_.flash.pageBytes);
         partials[i % n_accel].insert(ScoredResult{i, ppn, s});
@@ -846,29 +874,6 @@ DeepStore::getResults(std::uint64_t query_id) const
         fatal("unknown query_id %llu",
               static_cast<unsigned long long>(query_id));
     }
-}
-
-CompositeFeatureSource::CompositeFeatureSource(
-    std::shared_ptr<FeatureSource> first,
-    std::shared_ptr<FeatureSource> second)
-    : first_(std::move(first)), second_(std::move(second))
-{
-    DS_ASSERT(first_ && second_);
-    DS_ASSERT(first_->dim() == second_->dim());
-}
-
-std::uint64_t
-CompositeFeatureSource::count() const
-{
-    return first_->count() + second_->count();
-}
-
-std::vector<float>
-CompositeFeatureSource::featureAt(std::uint64_t index) const
-{
-    if (index < first_->count())
-        return first_->featureAt(index);
-    return second_->featureAt(index - first_->count());
 }
 
 } // namespace deepstore::core

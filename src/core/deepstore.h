@@ -8,7 +8,7 @@
  * behind an ArrayCoordinator), the database metadata table, the
  * loaded SCN/QCN models, and the Query Cache. Queries execute
  * functionally (real similarity scores, real top-K) against the
- * database's feature source, while latency comes from the
+ * database's feature extents, while latency comes from the
  * event-native datapath: flash pages stream through real FlashCommand
  * reads, compute replays the systolic slot schedule on per-unit
  * arbiters, weights/probes/reduces arbitrate on each node's DRAM
@@ -157,6 +157,10 @@ class DeepStore
     std::vector<std::vector<float>> readDB(std::uint64_t db_id,
                                            std::uint64_t start,
                                            std::uint64_t num);
+
+    /** readDB into a host buffer: the `num` features back to back. */
+    void readDB(std::uint64_t db_id, std::uint64_t start,
+                std::uint64_t num, std::vector<float> &out);
 
     /** loadModel: register a serialized model (ONNX-lite blob).
      *  @return the model_id. */
@@ -370,8 +374,11 @@ class DeepStore
     scanTopK(const std::vector<float> &qfv, std::size_t k,
              const LoadedModel &m, const DbMetadata &db,
              std::uint64_t db_start, std::uint64_t db_end,
-             std::uint32_t n_accel,
-             const std::shared_ptr<FeatureSource> &source) const;
+             std::uint32_t n_accel) const;
+
+    /** Rows [start, start + n) into `out` via the extent table. */
+    void fillRows(std::uint64_t db_id, std::uint64_t start,
+                  std::uint64_t n, float *out) const;
 
     /** A terminal query's result with every field the coordinator's
      *  stats determine. Attributes the QC probe to QcLookup and the
@@ -396,7 +403,21 @@ class DeepStore
      *  map. */
     std::unique_ptr<ArrayCoordinator> array_;
 
-    std::map<std::uint64_t, std::shared_ptr<FeatureSource>> sources_;
+    /** One writeDB/appendDB source, holding rows from firstRow. */
+    struct Extent
+    {
+        std::uint64_t firstRow;
+        std::shared_ptr<FeatureSource> source;
+    };
+    /** A database's extents in row order. Appends only add rows past
+     *  the end, so rows an in-flight query holds never move. */
+    struct FeatureTable
+    {
+        std::int64_t dim = 0;
+        std::uint64_t rows = 0;
+        std::vector<Extent> extents;
+    };
+    std::map<std::uint64_t, FeatureTable> sources_;
     std::map<std::uint64_t, LoadedModel> models_;
     std::map<std::uint64_t, QueryResult> results_;
     std::map<std::uint64_t,
@@ -415,22 +436,6 @@ class DeepStore
     std::uint64_t metadataFlushGen_ = 0;
     std::uint64_t nextModelId_ = 1;
     std::uint64_t nextQueryId_ = 1;
-};
-
-/** Concatenation of two feature sources (appendDB support). */
-class CompositeFeatureSource : public FeatureSource
-{
-  public:
-    CompositeFeatureSource(std::shared_ptr<FeatureSource> first,
-                           std::shared_ptr<FeatureSource> second);
-
-    std::uint64_t count() const override;
-    std::int64_t dim() const override { return first_->dim(); }
-    std::vector<float> featureAt(std::uint64_t index) const override;
-
-  private:
-    std::shared_ptr<FeatureSource> first_;
-    std::shared_ptr<FeatureSource> second_;
 };
 
 } // namespace deepstore::core

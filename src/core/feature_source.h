@@ -1,20 +1,24 @@
 /**
  * @file
- * Feature providers backing a DeepStore database.
+ * Feature providers backing a DeepStore database: an explicit
+ * in-memory block (examples, tests, the NVMe front end) or the
+ * deterministic latent-topic generator (large benchmark databases),
+ * read on demand so multi-terabyte datasets are never materialized.
  *
- * writeDB() conceptually copies feature vectors from host memory into
- * flash; for simulation we keep a provider per database so the
- * functional query path can fetch any feature on demand without
- * materializing multi-terabyte datasets: either an explicit in-memory
- * list (examples, tests) or the deterministic latent-topic generator
- * (large benchmark databases).
+ * fill(start, n, out) is the one read primitive: rows [start,
+ * start + n) land back to back, dim() floats each, in a caller buffer.
+ * The engine reads rows through nothing else. VectorFeatureSource
+ * keeps its rows as one flat n×dim block, so its fill is one copy.
+ * featureAt() stays virtual, and the default fill loops it, because
+ * decorators outside the engine (timing and counting wrappers)
+ * override exactly count(), dim() and featureAt().
  */
 
 #ifndef DEEPSTORE_CORE_FEATURE_SOURCE_H
 #define DEEPSTORE_CORE_FEATURE_SOURCE_H
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/logging.h"
@@ -36,36 +40,71 @@ class FeatureSource
 
     /** The index-th feature vector. @pre index < count(). */
     virtual std::vector<float> featureAt(std::uint64_t index) const = 0;
+
+    /** Rows [start, start + n) into `out`, dim() floats per row.
+     *  @pre start + n <= count(). */
+    virtual void
+    fill(std::uint64_t start, std::uint64_t n, float *out) const
+    {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const auto f = featureAt(start + i);
+            DS_ASSERT(f.size() == static_cast<std::size_t>(dim()));
+            out = std::copy(f.begin(), f.end(), out);
+        }
+    }
 };
 
-/** Explicit in-memory feature list. */
+/** Explicit in-memory feature rows, stored as one n×dim block. */
 class VectorFeatureSource : public FeatureSource
 {
   public:
-    VectorFeatureSource(std::vector<std::vector<float>> features,
-                        std::int64_t dim)
-        : features_(std::move(features)), dim_(dim)
+    /** Rows packed back to back: a whole number of dim-float rows. */
+    VectorFeatureSource(std::vector<float> flat, std::int64_t dim)
+        : rows_(std::move(flat)), dim_(static_cast<std::size_t>(dim))
     {
-        for (const auto &f : features_) {
-            if (static_cast<std::int64_t>(f.size()) != dim_)
+        if (dim <= 0 || rows_.size() % dim_ != 0)
+            fatal("%zu floats are not whole features of dim %lld",
+                  rows_.size(), static_cast<long long>(dim));
+    }
+
+    /** One vector per row, flattened once. */
+    VectorFeatureSource(const std::vector<std::vector<float>> &features,
+                        std::int64_t dim)
+        : VectorFeatureSource(std::vector<float>{}, dim) // checks dim
+    {
+        rows_.reserve(features.size() * dim_);
+        for (const auto &f : features) {
+            if (f.size() != dim_)
                 fatal("feature size %zu != dim %lld", f.size(),
-                      static_cast<long long>(dim_));
+                      static_cast<long long>(dim));
+            rows_.insert(rows_.end(), f.begin(), f.end());
         }
     }
 
-    std::uint64_t count() const override { return features_.size(); }
-    std::int64_t dim() const override { return dim_; }
+    std::uint64_t count() const override { return rows_.size() / dim_; }
+    std::int64_t dim() const override
+    {
+        return static_cast<std::int64_t>(dim_);
+    }
 
     std::vector<float>
     featureAt(std::uint64_t index) const override
     {
-        DS_ASSERT(index < features_.size());
-        return features_[index];
+        std::vector<float> f(dim_);
+        fill(index, 1, f.data());
+        return f;
+    }
+
+    void
+    fill(std::uint64_t start, std::uint64_t n, float *out) const override
+    {
+        DS_ASSERT(start <= count() && n <= count() - start);
+        std::copy_n(rows_.data() + start * dim_, n * dim_, out);
     }
 
   private:
-    std::vector<std::vector<float>> features_;
-    std::int64_t dim_;
+    std::vector<float> rows_;
+    std::size_t dim_;
 };
 
 /** Deterministic synthetic database (latent-topic generator). */
@@ -86,11 +125,6 @@ class GeneratedFeatureSource : public FeatureSource
     {
         DS_ASSERT(index < count_);
         return generator_.featureAt(index);
-    }
-
-    const workloads::FeatureGenerator &generator() const
-    {
-        return generator_;
     }
 
   private:

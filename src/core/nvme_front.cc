@@ -46,11 +46,14 @@ HostBufferRegistry::find(std::uint64_t prp) const
     return it == buffers_.end() ? nullptr : &it->second;
 }
 
-std::vector<float> *
-HostBufferRegistry::findMutable(std::uint64_t prp)
+std::vector<float> &
+HostBufferRegistry::at(std::uint64_t prp)
 {
     auto it = buffers_.find(prp);
-    return it == buffers_.end() ? nullptr : &it->second;
+    if (it == buffers_.end())
+        fatal("no host buffer at prp 0x%llx",
+              static_cast<unsigned long long>(prp));
+    return it->second;
 }
 
 void
@@ -121,88 +124,47 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
     done.cid = cmd.cid;
     try {
         switch (cmd.opcode) {
-          case NvmeOpcode::WriteDB: {
-            const auto *buf = buffers_.find(cmd.prp);
-            auto dim = static_cast<std::int64_t>(cmd.cdw[0]);
-            if (!buf || dim <= 0 ||
-                buf->size() % static_cast<std::size_t>(dim) != 0) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
-            std::vector<std::vector<float>> features;
-            for (std::size_t off = 0; off < buf->size();
-                 off += static_cast<std::size_t>(dim)) {
-                features.emplace_back(
-                    buf->begin() + static_cast<long>(off),
-                    buf->begin() + static_cast<long>(off) + dim);
-            }
+          // The host buffer is the flat feature block; the source
+          // rejects a non-positive dim or a partial feature.
+          case NvmeOpcode::WriteDB:
             done.result = store_.writeDB(
                 std::make_shared<VectorFeatureSource>(
-                    std::move(features), dim));
+                    buffers_.at(cmd.prp),
+                    static_cast<std::int64_t>(cmd.cdw[0])));
             break;
-          }
           case NvmeOpcode::AppendDB: {
-            const auto *buf = buffers_.find(cmd.prp);
-            if (!buf) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
             auto dim = static_cast<std::int64_t>(
                 store_.databaseInfo(cmd.cdw[0]).featureBytes /
                 kBytesPerFloat);
-            if (buf->size() % static_cast<std::size_t>(dim) != 0) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
-            std::vector<std::vector<float>> features;
-            for (std::size_t off = 0; off < buf->size();
-                 off += static_cast<std::size_t>(dim)) {
-                features.emplace_back(
-                    buf->begin() + static_cast<long>(off),
-                    buf->begin() + static_cast<long>(off) + dim);
-            }
             store_.appendDB(cmd.cdw[0],
                             std::make_shared<VectorFeatureSource>(
-                                std::move(features), dim));
+                                buffers_.at(cmd.prp), dim));
             done.result = cmd.cdw[0];
             break;
           }
-          case NvmeOpcode::ReadDB: {
-            auto *out = buffers_.findMutable(cmd.prp);
-            if (!out) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
-            auto features =
-                store_.readDB(cmd.cdw[0], cmd.cdw[1], cmd.cdw[2]);
-            out->clear();
-            for (const auto &f : features)
-                out->insert(out->end(), f.begin(), f.end());
-            done.result = features.size();
+          case NvmeOpcode::ReadDB:
+            store_.readDB(cmd.cdw[0], cmd.cdw[1], cmd.cdw[2],
+                          buffers_.at(cmd.prp));
+            done.result = cmd.cdw[2];
             break;
-          }
           case NvmeOpcode::LoadModel: {
             // prp references a serialized model blob packed into the
             // float buffer (4 bytes per element).
-            const auto *buf = buffers_.find(cmd.prp);
+            const auto &buf = buffers_.at(cmd.prp);
             // cdw0 is the blob length in bytes; it must fit the
             // buffer the host handed over.
-            if (!buf || cmd.cdw[0] > buf->size() * 4) {
+            if (cmd.cdw[0] > buf.size() * 4) {
                 done.status = NvmeStatus::InvalidField;
                 break;
             }
-            std::vector<std::uint8_t> blob(buf->size() * 4);
-            std::memcpy(blob.data(), buf->data(), blob.size());
+            std::vector<std::uint8_t> blob(buf.size() * 4);
+            std::memcpy(blob.data(), buf.data(), blob.size());
             blob.resize(static_cast<std::size_t>(cmd.cdw[0]));
             done.result = store_.loadModel(blob);
             break;
           }
           case NvmeOpcode::Query: {
-            const auto *qfv = buffers_.find(cmd.prp);
-            if (!qfv) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
+            const auto &qfv = buffers_.at(cmd.prp);
             std::optional<Level> level;
             const std::uint64_t level_field =
                 cmd.cdw[5] & 0xFFFFFFFFULL;
@@ -212,7 +174,7 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
             const double deadline_seconds =
                 static_cast<double>(cmd.cdw[5] >> 32) * 1e-6;
             std::uint64_t qid = store_.query(
-                *qfv, static_cast<std::size_t>(cmd.cdw[0]),
+                qfv, static_cast<std::size_t>(cmd.cdw[0]),
                 cmd.cdw[1], cmd.cdw[2], cmd.cdw[3], cmd.cdw[4],
                 level, deadline_seconds);
             queryCids_[cmd.cid] = qid;
@@ -231,11 +193,7 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
             return std::nullopt;
           }
           case NvmeOpcode::GetResults: {
-            auto *out = buffers_.findMutable(cmd.prp);
-            if (!out) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
+            auto &out = buffers_.at(cmd.prp);
             FetchResult fr = store_.tryGetResults(cmd.cdw[0]);
             if (fr.status == FetchStatus::Unknown) {
                 done.status = NvmeStatus::InvalidField;
@@ -248,10 +206,10 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
                 break;
             }
             const QueryResult &res = *fr.result;
-            out->clear();
+            out.clear();
             for (const auto &r : res.topK) {
-                out->push_back(static_cast<float>(r.featureId));
-                out->push_back(r.score);
+                out.push_back(static_cast<float>(r.featureId));
+                out.push_back(r.score);
             }
             done.status = statusForOutcome(res.outcome);
             done.result = res.topK.size();
@@ -273,27 +231,23 @@ NvmeFrontEnd::execute(const NvmeCommand &cmd)
             // Array topology + per-node health for host-side
             // placement decisions (mirrors `nvme list`-style admin
             // introspection, vendor-shaped).
-            auto *out = buffers_.findMutable(cmd.prp);
-            if (!out) {
-                done.status = NvmeStatus::InvalidField;
-                break;
-            }
+            auto &out = buffers_.at(cmd.prp);
             const auto &array = store_.array();
             const auto &upkeep = array.maintenance().stats();
-            out->clear();
+            out.clear();
             for (std::uint32_t i = 0; i < array.nodeCount(); ++i) {
                 const auto &node = array.node(i);
-                out->push_back(static_cast<float>(i));
-                out->push_back(node.alive() ? 1.0f : 0.0f);
-                out->push_back(
+                out.push_back(static_cast<float>(i));
+                out.push_back(node.alive() ? 1.0f : 0.0f);
+                out.push_back(
                     static_cast<float>(node.flash().channels));
-                out->push_back(static_cast<float>(
+                out.push_back(static_cast<float>(
                     node.flash().chipsPerChannel));
-                out->push_back(
+                out.push_back(
                     static_cast<float>(node.nocWaitTicks()));
-                out->push_back(static_cast<float>(
+                out.push_back(static_cast<float>(
                     upkeep.scrubPagesScannedOn.at(i)));
-                out->push_back(static_cast<float>(
+                out.push_back(static_cast<float>(
                     upkeep.repairPagesCopiedTo.at(i)));
             }
             done.result =

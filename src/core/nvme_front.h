@@ -118,7 +118,8 @@ class HostBufferRegistry
     std::uint64_t add(std::vector<float> data);
 
     const std::vector<float> *find(std::uint64_t prp) const;
-    std::vector<float> *findMutable(std::uint64_t prp);
+    /** The buffer behind a handle; fatal if the handle is unknown. */
+    std::vector<float> &at(std::uint64_t prp);
     void release(std::uint64_t prp);
 
   private:

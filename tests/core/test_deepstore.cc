@@ -22,6 +22,63 @@ smallConfig()
     return cfg;
 }
 
+/** Forwards to a source, counting the rows it delivers (through
+ *  featureAt or fill) and every other call made on it. */
+class CountingSource : public FeatureSource
+{
+  public:
+    explicit CountingSource(std::shared_ptr<FeatureSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::uint64_t
+    count() const override
+    {
+        ++otherCalls;
+        return inner_->count();
+    }
+
+    std::int64_t
+    dim() const override
+    {
+        ++otherCalls;
+        return inner_->dim();
+    }
+
+    std::vector<float>
+    featureAt(std::uint64_t index) const override
+    {
+        ++rowsRead;
+        return inner_->featureAt(index);
+    }
+
+    void
+    fill(std::uint64_t start, std::uint64_t n, float *out) const override
+    {
+        rowsRead += n;
+        inner_->fill(start, n, out);
+    }
+
+    mutable std::uint64_t rowsRead = 0;
+    mutable std::uint64_t otherCalls = 0;
+
+  private:
+    std::shared_ptr<FeatureSource> inner_;
+};
+
+/** Claims one row of zero floats. */
+class ZeroWidthSource : public FeatureSource
+{
+  public:
+    std::uint64_t count() const override { return 1; }
+    std::int64_t dim() const override { return 0; }
+    std::vector<float> featureAt(std::uint64_t) const override
+    {
+        return {};
+    }
+};
+
 TEST(DeepStoreApi, WriteDbAssignsMetadata)
 {
     DeepStore ds(smallConfig());
@@ -39,6 +96,21 @@ TEST(DeepStoreApi, WriteDbRejectsEmpty)
     EXPECT_THROW(
         ds.writeDB(std::make_shared<VectorFeatureSource>(
             std::vector<std::vector<float>>{}, 4)),
+        FatalError);
+    // Zero-width rows are rejected before placement sees them.
+    EXPECT_THROW(ds.writeDB(std::make_shared<ZeroWidthSource>()),
+                 FatalError);
+    EXPECT_THROW(
+        ds.writeDB(std::make_shared<VectorFeatureSource>(
+            std::vector<std::vector<float>>{{}}, 0)),
+        FatalError);
+    EXPECT_THROW(VectorFeatureSource(std::vector<float>{}, 0),
+                 FatalError);
+    EXPECT_THROW(VectorFeatureSource(std::vector<float>{1.0f}, -1),
+                 FatalError);
+    // A flat block must hold whole features.
+    EXPECT_THROW(
+        VectorFeatureSource(std::vector<float>{1.0f, 2.0f, 3.0f}, 2),
         FatalError);
 }
 
@@ -145,11 +217,62 @@ TEST(DeepStoreApi, AppendDbGrowsAndInvalidatesQc)
     EXPECT_EQ(ds.databaseInfo(db).numFeatures, 3u);
     auto got = ds.readDB(db, 2, 1);
     EXPECT_EQ(got[0], more[0]);
+    // A window across three extents comes back in row order.
+    std::vector<std::vector<float>> last{{3.0f, 3.0f}};
+    ds.appendDB(db, std::make_shared<VectorFeatureSource>(last, 2));
+    EXPECT_EQ(ds.readDB(db, 1, 3),
+              (std::vector<std::vector<float>>{first[1], more[0],
+                                               last[0]}));
     // Dim mismatch rejected.
     std::vector<std::vector<float>> bad{{1.0f}};
     EXPECT_THROW(
         ds.appendDB(db, std::make_shared<VectorFeatureSource>(bad, 1)),
         FatalError);
+}
+
+TEST(DeepStoreApi, LookupCostDoesNotGrowWithAppends)
+{
+    DeepStore ds(smallConfig());
+    const std::int64_t dim = 4;
+    std::vector<std::shared_ptr<CountingSource>> parts{
+        std::make_shared<CountingSource>(randomDb(dim, 4, 21))};
+    std::uint64_t db = ds.writeDB(parts.front());
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        parts.push_back(
+            std::make_shared<CountingSource>(randomDb(dim, 1, 22 + i)));
+        ds.appendDB(db, parts.back());
+    }
+    ASSERT_EQ(ds.databaseInfo(db).numFeatures, 1004u);
+    std::uint64_t model = ds.loadModel(dotModel(dim));
+    for (auto &p : parts)
+        p->rowsRead = p->otherCalls = 0;
+
+    // Each read delivers exactly its rows from the source holding
+    // them and makes no call of any kind into any other source.
+    auto expectOnly = [&parts](std::size_t holder, std::uint64_t rows) {
+        std::uint64_t elsewhere = 0;
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            if (i != holder)
+                elsewhere += parts[i]->rowsRead + parts[i]->otherCalls;
+        }
+        EXPECT_EQ(parts[holder]->rowsRead, rows);
+        EXPECT_EQ(parts[holder]->otherCalls, 0u);
+        EXPECT_EQ(elsewhere, 0u);
+        for (auto &p : parts)
+            p->rowsRead = p->otherCalls = 0;
+    };
+
+    auto first = ds.readDB(db, 0, 1);
+    expectOnly(0, 1);
+    auto last = ds.readDB(db, 1003, 1);
+    expectOnly(1000, 1);
+    std::uint64_t qid =
+        ds.querySync(std::vector<float>(dim, 0.5f), 2, model, db, 0, 4);
+    expectOnly(0, 4);
+
+    EXPECT_EQ(first[0], parts.front()->featureAt(0));
+    EXPECT_EQ(last[0], parts.back()->featureAt(0));
+    EXPECT_EQ(ds.getResults(qid).featuresScanned, 4u);
 }
 
 TEST(DeepStoreApi, QueryCacheHitReturnsCachedTopK)
