@@ -37,10 +37,11 @@ run(const workloads::QueryUniverse &u, double accuracy_factor,
     cfg.threshold = 0.10;
     cfg.qcnAccuracy = accuracy_factor;
     core::QueryCache qc(
-        cfg, [&u, exact_only](std::uint64_t a, std::uint64_t b) {
-            if (exact_only)
-                return a == b ? 1.0 : 0.0;
-            return u.qcnScore(a, b);
+        cfg, [&u, exact_only](std::uint64_t q, const std::uint64_t *cached,
+                              std::size_t n, double *out) {
+            for (std::size_t i = 0; i < n; ++i)
+                out[i] = exact_only ? (q == cached[i] ? 1.0 : 0.0)
+                                    : u.qcnScore(q, cached[i]);
         });
     auto trace = u.trace(16000, workloads::Popularity::Zipf, 0.7, 55);
     std::uint64_t false_hits = 0, hits = 0;

@@ -9,6 +9,7 @@
  */
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 
 #include "bench_common.h"
@@ -31,9 +32,8 @@ runMissRate(const workloads::QueryUniverse &universe,
     cfg.threshold = 0.10;
     cfg.qcnAccuracy = 0.97;
     core::QueryCache qc(
-        cfg, [&universe](std::uint64_t a, std::uint64_t b) {
-            return universe.qcnScore(a, b);
-        });
+        cfg, std::bind_front(&workloads::QueryUniverse::qcnScores,
+                             &universe));
     auto trace = universe.trace(warm + measured, pop, alpha, 4242);
     for (std::uint64_t i = 0; i < trace.size(); ++i) {
         if (i == warm)

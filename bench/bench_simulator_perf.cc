@@ -4,7 +4,7 @@
  * guard the wall-clock cost of the building blocks the paper-figure
  * harnesses lean on (event kernel, systolic evaluation, flash
  * streaming, top-K, cache lookups, feature lookups in an appended
- * database).
+ * database, SCN scoring one feature at a time and in batches).
  *
  * Besides the usual console table, the harness writes
  * BENCH_simulator_perf.json with every run's items/second and a
@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,9 +28,12 @@
 #include "core/query_cache.h"
 #include "core/query_model.h"
 #include "core/topk.h"
+#include "nn/executor.h"
+#include "nn/semantic.h"
 #include "sim/event_queue.h"
 #include "ssd/ssd.h"
 #include "workloads/apps.h"
+#include "workloads/feature_gen.h"
 #include "workloads/query_universe.h"
 
 using namespace deepstore;
@@ -121,10 +125,8 @@ BM_QueryCacheLookup(benchmark::State &state)
     qcfg.capacity = static_cast<std::size_t>(state.range(0));
     qcfg.threshold = 0.10;
     qcfg.qcnAccuracy = 0.97;
-    core::QueryCache qc(qcfg,
-                        [&u](std::uint64_t a, std::uint64_t b) {
-                            return u.qcnScore(a, b);
-                        });
+    core::QueryCache qc(
+        qcfg, std::bind_front(&workloads::QueryUniverse::qcnScores, &u));
     for (std::uint64_t q = 0; q < qcfg.capacity; ++q)
         qc.insert(q, {});
     std::uint64_t next = 0;
@@ -134,6 +136,61 @@ BM_QueryCacheLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QueryCacheLookup)->Arg(100)->Arg(1000);
+
+/** TextQA SCN (semantic weights) over 1,024 generated features. */
+struct TextQaScoring
+{
+    static constexpr std::size_t kFeatures = 1024;
+    workloads::AppInfo app = workloads::makeApp(workloads::AppId::TextQA);
+    nn::ModelWeights weights = nn::semanticWeights(app.scn);
+    nn::Executor executor{app.scn, weights};
+    std::vector<float> query;
+    std::vector<std::vector<float>> features;
+    std::vector<float> rows; ///< `features` back to back
+
+    TextQaScoring()
+    {
+        workloads::FeatureGenerator gen(app.scn.featureDim(), 64, 3);
+        query = gen.featureForTopic(5, 1u << 20);
+        for (std::uint64_t i = 0; i < kFeatures; ++i) {
+            features.push_back(gen.featureAt(i));
+            rows.insert(rows.end(), features.back().begin(),
+                        features.back().end());
+        }
+    }
+};
+
+/** The scalar reference: one score() per feature. */
+void
+BM_ExecutorScore(benchmark::State &state)
+{
+    TextQaScoring t;
+    for (auto _ : state)
+        for (const auto &f : t.features)
+            benchmark::DoNotOptimize(t.executor.score(t.query, f));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(TextQaScoring::kFeatures) *
+        state.iterations());
+}
+BENCHMARK(BM_ExecutorScore);
+
+/** The batched path over the same features, bit-identical scores. */
+void
+BM_ExecutorScoreBatch(benchmark::State &state)
+{
+    TextQaScoring t;
+    std::vector<float> scores(TextQaScoring::kFeatures);
+    for (auto _ : state) {
+        t.executor.scoreBatch(t.query, t.rows.data(), scores.size(),
+                              scores.data());
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(TextQaScoring::kFeatures) *
+        state.iterations());
+}
+BENCHMARK(BM_ExecutorScoreBatch);
 
 /** readDB of row 0 after a 4-row writeDB and `appends` one-row
  *  appendDBs: the extent lookup must not grow with the append

@@ -16,6 +16,7 @@
  */
 
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 
@@ -120,9 +121,8 @@ runClosedForm(bench::JsonReport &report)
                 cfg.qcnAccuracy = 0.97;
                 cache = std::make_unique<core::QueryCache>(
                     cfg,
-                    [&universe](std::uint64_t a, std::uint64_t b) {
-                        return universe.qcnScore(a, b);
-                    });
+                    std::bind_front(&workloads::QueryUniverse::qcnScores,
+                                    &universe));
             }
             auto stats = core::replayTraceClosedForm(trace, service,
                                                      cache.get());

@@ -249,7 +249,9 @@ DeepStore::loadModel(const std::vector<std::uint8_t> &blob)
 std::uint64_t
 DeepStore::loadModel(nn::ModelBundle bundle)
 {
-    bundle.model.validate();
+    // The executor checks the model and every weight shape; check
+    // before taking an id, so a rejected bundle leaves no entry.
+    (void)nn::Executor(bundle.model, bundle.weights);
     std::uint64_t id = nextModelId_++;
     // Emplace first: the executor holds references into the stored
     // bundle, and map nodes are address-stable.
@@ -287,14 +289,22 @@ DeepStore::setQC(std::uint64_t qcn_model_id, double threshold,
     cfg.capacity = capacity;
     cfg.threshold = threshold;
     cfg.qcnAccuracy = qcn_accuracy;
-    // Score via the functional QCN over remembered query features.
+    // Score via the functional QCN over remembered query features:
+    // the new query against a chunk of cached ones as one batch.
     queryCache_ = std::make_unique<QueryCache>(
-        cfg, [this, &qcn](std::uint64_t a, std::uint64_t b) {
-            DS_ASSERT(a < seenQueries_.size());
-            DS_ASSERT(b < seenQueries_.size());
-            return static_cast<double>(
-                qcn.executor->score(seenQueries_[a],
-                                    seenQueries_[b]));
+        cfg, [this, &qcn](std::uint64_t query, const std::uint64_t *cached,
+                          std::size_t n, double *out) {
+            DS_ASSERT(query < seenQueries_.size());
+            const std::vector<float> &q = seenQueries_[query];
+            std::vector<float> rows(n * q.size()), scores(n);
+            for (std::size_t j = 0; j < n; ++j) {
+                DS_ASSERT(cached[j] < seenQueries_.size());
+                const auto &c = seenQueries_[cached[j]];
+                DS_ASSERT(c.size() == q.size());
+                std::copy(c.begin(), c.end(), rows.begin() + j * q.size());
+            }
+            qcn.executor->scoreBatch(q, rows.data(), n, scores.data());
+            std::copy(scores.begin(), scores.end(), out);
         });
 }
 
@@ -449,15 +459,20 @@ DeepStore::query(const std::vector<float> &qfv, std::size_t k,
                 settledResult(qid, ast, TimeComponent::CacheHit);
             if (res.outcome == QueryOutcome::Success) {
                 res.featuresScanned = cached.size();
-                // Re-run the SCN on only the cached top-K features.
+                // Re-run the SCN on only the cached top-K features:
+                // gather their rows, then score them as one batch.
                 TopK topk(std::max<std::size_t>(k, 1));
-                std::vector<float> row(q.size());
-                for (const auto &c : cached) {
-                    fillRows(db_id, c.featureId, 1, row.data());
-                    float s = mp->executor->score(q, row);
-                    topk.insert(
-                        ScoredResult{c.featureId, c.objectId, s});
-                }
+                std::vector<float> rows(cached.size() * q.size());
+                std::vector<float> scores(cached.size());
+                for (std::size_t j = 0; j < cached.size(); ++j)
+                    fillRows(db_id, cached[j].featureId, 1,
+                             rows.data() + j * q.size());
+                mp->executor->scoreBatch(q, rows.data(), cached.size(),
+                                         scores.data());
+                for (std::size_t j = 0; j < cached.size(); ++j)
+                    topk.insert(ScoredResult{cached[j].featureId,
+                                             cached[j].objectId,
+                                             scores[j]});
                 res.topK = topk.results();
             }
             finishQuery(qid, std::move(res));
@@ -624,13 +639,21 @@ DeepStore::scanTopK(const std::vector<float> &qfv, std::size_t k,
     for (std::uint32_t a = 0; a < n_accel; ++a)
         partials.emplace_back(std::max<std::size_t>(k, 1));
 
-    std::vector<float> row(qfv.size());
-    for (std::uint64_t i = db_start; i < db_end; ++i) {
-        fillRows(db.dbId, i, 1, row.data());
-        float s = m.executor->score(qfv, row);
-        std::uint64_t ppn =
-            db.featurePpn(i, config_.flash.pageBytes);
-        partials[i % n_accel].insert(ScoredResult{i, ppn, s});
+    // Rows arrive and are scored a chunk at a time; scores enter the
+    // partials in row order, as one at a time would.
+    constexpr std::uint64_t kChunk = 64;
+    std::vector<float> rows(kChunk * qfv.size());
+    float scores[kChunk];
+    for (std::uint64_t c = db_start; c < db_end; c += kChunk) {
+        const std::uint64_t n = std::min(kChunk, db_end - c);
+        fillRows(db.dbId, c, n, rows.data());
+        m.executor->scoreBatch(qfv, rows.data(), n, scores);
+        for (std::uint64_t i = c; i < c + n; ++i) {
+            std::uint64_t ppn =
+                db.featurePpn(i, config_.flash.pageBytes);
+            partials[i % n_accel].insert(
+                ScoredResult{i, ppn, scores[i - c]});
+        }
     }
     TopK merged(std::max<std::size_t>(k, 1));
     for (const auto &p : partials)

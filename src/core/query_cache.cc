@@ -29,14 +29,23 @@ QueryCache::lookup(std::uint64_t query_id)
 {
     CacheLookup out;
     auto best = entries_.end();
-    // Algorithm 1: scan every valid entry, keep the max score.
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        double s =
-            score_(query_id, it->queryId) * config_.qcnAccuracy;
-        ++out.entriesScanned;
-        if (s > out.bestScore) {
-            out.bestScore = s;
-            best = it;
+    // Algorithm 1: scan every valid entry, keep the max score. The
+    // QCN scores a chunk of entries per call.
+    std::uint64_t ids[kProbeChunk];
+    double scores[kProbeChunk];
+    for (auto it = entries_.begin(); it != entries_.end();) {
+        auto chunk = it;
+        std::size_t n = 0;
+        for (; it != entries_.end() && n < kProbeChunk; ++it)
+            ids[n++] = it->queryId;
+        score_(query_id, ids, n, scores);
+        for (std::size_t i = 0; i < n; ++i, ++chunk) {
+            double s = scores[i] * config_.qcnAccuracy;
+            ++out.entriesScanned;
+            if (s > out.bestScore) {
+                out.bestScore = s;
+                best = chunk;
+            }
         }
     }
     if (best != entries_.end() &&

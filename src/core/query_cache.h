@@ -60,9 +60,14 @@ struct CacheLookup
 class QueryCache
 {
   public:
-    /** Pairwise QCN similarity in [0, 1] for two query ids. */
+    /** QCN similarity in [0, 1] of query `query` against each of `n`
+     *  cached query ids: out[i] scores cached[i]. A lookup passes the
+     *  cache in chunks of at most kProbeChunk ids. */
     using ScoreFn =
-        std::function<double(std::uint64_t, std::uint64_t)>;
+        std::function<void(std::uint64_t query,
+                           const std::uint64_t *cached, std::size_t n,
+                           double *out)>;
+    static constexpr std::size_t kProbeChunk = 16;
 
     QueryCache(QueryCacheConfig config, ScoreFn score);
 

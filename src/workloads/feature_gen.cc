@@ -42,10 +42,16 @@ FeatureGenerator::featureForTopic(std::uint64_t topic,
                                   std::uint64_t jitter_seed) const
 {
     std::vector<float> f = centroid(topic);
-    Rng rng(seed_ ^ (jitter_seed * 0x2545F4914F6CDD1DULL + 17));
-    for (auto &v : f)
-        v += static_cast<float>(rng.gaussian(0.0, noise_));
+    addJitter(jitter_seed, f.data());
     return f;
+}
+
+void
+FeatureGenerator::addJitter(std::uint64_t jitter_seed, float *f) const
+{
+    Rng rng(seed_ ^ (jitter_seed * 0x2545F4914F6CDD1DULL + 17));
+    for (std::int64_t i = 0; i < dim_; ++i)
+        f[i] += static_cast<float>(rng.gaussian(0.0, noise_));
 }
 
 std::vector<float>

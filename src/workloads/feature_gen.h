@@ -45,6 +45,11 @@ class FeatureGenerator
     /** The raw centroid of a topic. */
     std::vector<float> centroid(std::uint64_t topic) const;
 
+    /** Add featureForTopic's jitter for `jitter_seed` to the dim()
+     *  floats at `f`, in place (the centroid plus this is the
+     *  feature). */
+    void addJitter(std::uint64_t jitter_seed, float *f) const;
+
     std::int64_t dim() const { return dim_; }
     std::uint64_t numTopics() const { return numTopics_; }
 

@@ -54,6 +54,14 @@ QueryUniverse::qcnScore(std::uint64_t a, std::uint64_t b) const
     return std::clamp(s, 0.0, 1.0);
 }
 
+void
+QueryUniverse::qcnScores(std::uint64_t query, const std::uint64_t *cached,
+                         std::size_t n, double *out) const
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = qcnScore(query, cached[i]);
+}
+
 std::vector<float>
 QueryUniverse::featureOf(std::uint64_t query_id, std::int64_t dim) const
 {

@@ -69,6 +69,11 @@ class QueryUniverse
      */
     double qcnScore(std::uint64_t a, std::uint64_t b) const;
 
+    /** out[i] = qcnScore(query, cached[i]) for i < n: the Query
+     *  Cache's batched scoring signature. */
+    void qcnScores(std::uint64_t query, const std::uint64_t *cached,
+                   std::size_t n, double *out) const;
+
     /** Query feature vector (for the functional execution path). */
     std::vector<float> featureOf(std::uint64_t query_id,
                                  std::int64_t dim) const;

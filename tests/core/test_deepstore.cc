@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -126,6 +127,23 @@ TEST(DeepStoreApi, ReadDbRoundTrips)
     EXPECT_EQ(got[0], feats[1]);
     EXPECT_EQ(got[1], feats[2]);
     EXPECT_THROW(ds.readDB(db, 2, 5), FatalError);
+}
+
+TEST(FeatureSource, GeneratedFillIsTheGeneratorsFeatures)
+{
+    // The cached-centroid fill yields the generator's own floats.
+    const std::int64_t dim = 24;
+    workloads::FeatureGenerator gen(dim, 5, 13);
+    GeneratedFeatureSource src(gen, 40);
+    std::vector<float> rows(40 * dim);
+    src.fill(0, 40, rows.data());
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        const auto want = gen.featureAt(i);
+        EXPECT_EQ(std::memcmp(want.data(), rows.data() + i * dim,
+                              dim * sizeof(float)),
+                  0);
+        EXPECT_EQ(src.featureAt(i), want);
+    }
 }
 
 TEST(DeepStoreApi, QueryFindsTrueTopK)

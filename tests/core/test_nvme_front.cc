@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "core/nvme_front.h"
 #include "nn/serialize.h"
+#include "workloads/apps.h"
 
 namespace deepstore::core {
 namespace {
@@ -28,21 +29,27 @@ struct Rig
         return *done;
     }
 
-    std::uint64_t
-    loadDotModel(std::int64_t dim)
+    /** LoadModel of a serialized model blob. */
+    NvmeCompletion
+    loadBlob(const std::vector<std::uint8_t> &blob)
     {
-        nn::Model m("dot", dim, false);
-        m.addLayer(nn::Layer::elementWise("dot",
-                                          nn::EwOp::DotProduct, dim));
-        auto blob =
-            nn::serializeModel(m, nn::ModelWeights::random(m, 1));
         std::vector<float> packed((blob.size() + 3) / 4, 0.0f);
         std::memcpy(packed.data(), blob.data(), blob.size());
         NvmeCommand cmd;
         cmd.opcode = NvmeOpcode::LoadModel;
         cmd.prp = nvme.buffers().add(std::move(packed));
         cmd.cdw[0] = blob.size();
-        auto done = run(cmd);
+        return run(cmd);
+    }
+
+    std::uint64_t
+    loadDotModel(std::int64_t dim)
+    {
+        nn::Model m("dot", dim, false);
+        m.addLayer(nn::Layer::elementWise("dot",
+                                          nn::EwOp::DotProduct, dim));
+        auto done = loadBlob(
+            nn::serializeModel(m, nn::ModelWeights::random(m, 1)));
         EXPECT_EQ(done.status, NvmeStatus::Success);
         return done.result;
     }
@@ -159,6 +166,15 @@ TEST(NvmeFront, HostErrorsSurfaceAsStatusNotExceptions)
     big.prp = rig.nvme.buffers().add(std::vector<float>(8, 0.0f));
     big.cdw[0] = 1ULL << 62;
     EXPECT_EQ(rig.run(big).status, NvmeStatus::InvalidField);
+
+    // LoadModel whose TextQA fc1 kernel is {1,4}, not {200,200}:
+    // scoring would read past it.
+    const auto app = workloads::makeApp(workloads::AppId::TextQA);
+    auto w = nn::ModelWeights::random(app.scn, 1);
+    w.kernel(1) = nn::Tensor({1, 4}, {1.0f, 2.0f, 3.0f, 4.0f});
+    const auto blob = nn::serializeModel(app.scn, w);
+    EXPECT_EQ(rig.loadBlob(blob).status, NvmeStatus::InvalidField);
+    EXPECT_THROW(rig.store.loadModel(blob), FatalError);
 }
 
 TEST(NvmeFront, StandardIoOpcodesWork)

@@ -1,5 +1,8 @@
 /** @file Tests for the similarity-based Query Cache (Algorithm 1). */
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -9,12 +12,23 @@
 namespace deepstore::core {
 namespace {
 
-/** Exact-match score function: 1 for identical ids, 0 otherwise. */
-double
-exactScore(std::uint64_t a, std::uint64_t b)
+/** A batched ScoreFn that loops a pairwise score. */
+template <typename Pair>
+QueryCache::ScoreFn
+batched(Pair pair)
 {
-    return a == b ? 1.0 : 0.0;
+    return [pair](std::uint64_t q, const std::uint64_t *cached,
+                  std::size_t n, double *out) {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = pair(q, cached[i]);
+    };
 }
+
+/** Exact-match score function: 1 for identical ids, 0 otherwise. */
+const QueryCache::ScoreFn exactScore =
+    batched([](std::uint64_t a, std::uint64_t b) {
+        return a == b ? 1.0 : 0.0;
+    });
 
 QueryCacheConfig
 config(std::size_t cap, double thr, double acc = 1.0)
@@ -61,6 +75,28 @@ TEST(QueryCache, ScansEveryEntry)
     EXPECT_EQ(out.entriesScanned, 5u);
 }
 
+TEST(QueryCache, ProbeScoresEveryChunk)
+{
+    // 40 entries span three probe chunks; the match sits in the last.
+    std::size_t calls = 0, widest = 0;
+    const QueryCache::ScoreFn counted =
+        [&](std::uint64_t q, const std::uint64_t *cached, std::size_t n,
+            double *out) {
+            ++calls;
+            widest = std::max(widest, n);
+            exactScore(q, cached, n, out);
+        };
+    QueryCache qc(config(40, 0.0), counted);
+    for (std::uint64_t q = 0; q < 40; ++q)
+        qc.insert(q, {});
+    auto out = qc.lookup(3);
+    EXPECT_TRUE(out.hit);
+    EXPECT_EQ(out.matchedQuery, 3u);
+    EXPECT_EQ(out.entriesScanned, 40u);
+    EXPECT_EQ(calls, 3u);
+    EXPECT_EQ(widest, QueryCache::kProbeChunk);
+}
+
 TEST(QueryCache, AccuracyGatesHits)
 {
     // With QCN accuracy 0.9, even an exact match scores 0.9; a 5%
@@ -83,9 +119,8 @@ TEST(QueryCache, SemanticSimilarityHits)
     ucfg.numTopics = 10;
     workloads::QueryUniverse u(ucfg);
     QueryCache qc(config(64, 0.15, 0.97),
-                  [&u](std::uint64_t a, std::uint64_t b) {
-                      return u.qcnScore(a, b);
-                  });
+                  std::bind_front(&workloads::QueryUniverse::qcnScores,
+                                  &u));
     // Find two distinct same-topic queries.
     std::uint64_t a = 0, b = 1;
     bool found = false;
@@ -169,7 +204,7 @@ TEST(QueryCache, BestOfMultipleCandidatesWins)
             return 0.95;
         return 0.1;
     };
-    QueryCache qc(config(4, 0.1, 1.0), scores);
+    QueryCache qc(config(4, 0.1, 1.0), batched(scores));
     qc.insert(1, {{11, 0, 0.0f}});
     qc.insert(2, {{22, 0, 0.0f}});
     auto out = qc.lookup(100);
@@ -185,9 +220,8 @@ TEST(QueryCache, ZipfTraceHasLowerMissRateThanUniform)
     ucfg.numQueries = 2000;
     ucfg.numTopics = 400;
     workloads::QueryUniverse u(ucfg);
-    auto score = [&u](std::uint64_t a, std::uint64_t b) {
-        return u.qcnScore(a, b);
-    };
+    const auto score =
+        std::bind_front(&workloads::QueryUniverse::qcnScores, &u);
     auto run = [&](workloads::Popularity pop) {
         QueryCache qc(config(100, 0.10, 0.97), score);
         auto trace = u.trace(3000, pop, 0.9, 77);

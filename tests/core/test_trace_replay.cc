@@ -1,5 +1,7 @@
 /** @file Tests for the trace-replay queueing model. */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -83,9 +85,8 @@ TEST(TraceReplay, CacheReducesLatencyUnderLocality)
     cfg.capacity = 100;
     cfg.threshold = 0.12;
     cfg.qcnAccuracy = 0.97;
-    QueryCache cache(cfg, [&u](std::uint64_t a, std::uint64_t b) {
-        return u.qcnScore(a, b);
-    });
+    QueryCache cache(
+        cfg, std::bind_front(&workloads::QueryUniverse::qcnScores, &u));
     auto cached = replayTraceClosedForm(trace, s, &cache);
 
     EXPECT_LT(cached.missRate, 0.9);

@@ -1,11 +1,16 @@
 /** @file Unit tests for the reference executor. */
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "nn/executor.h"
+#include "nn/semantic.h"
+#include "workloads/apps.h"
 
 namespace deepstore::nn {
 namespace {
@@ -155,6 +160,88 @@ TEST(Executor, DeterministicAcrossRuns)
         d[static_cast<size_t>(i)] = 0.02f * static_cast<float>(i % 13);
     }
     EXPECT_FLOAT_EQ(ex.score(q, d), ex.score(q, d));
+}
+
+/** scoreBatch over n rows equals n scalar score() calls, bit for bit. */
+void
+expectBatchMatchesScalar(const Model &m, const ModelWeights &w,
+                         std::size_t n, std::uint64_t seed)
+{
+    SCOPED_TRACE(m.name() + " n=" + std::to_string(n));
+    const auto dim = static_cast<std::size_t>(m.featureDim());
+    Rng rng(seed);
+    std::vector<float> q(dim), rows(n * dim);
+    for (auto &v : q)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto &v : rows)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    Executor ex(m, w);
+    std::vector<float> want(n), got(n);
+    for (std::size_t r = 0; r < n; ++r)
+        want[r] = ex.score(
+            q, std::vector<float>(rows.begin() + r * dim,
+                                  rows.begin() + (r + 1) * dim));
+    ex.scoreBatch(q, rows.data(), n, got.data());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0);
+}
+
+TEST(Executor, ScoreBatchMatchesScoreBitForBit)
+{
+    // Partial, exact, just-past and many blocks of 16.
+    const std::vector<std::size_t> sizes{1, 15, 16, 17, 100};
+    std::vector<std::pair<Model, ModelWeights>> models;
+    auto add = [&](const Model &m) {
+        models.emplace_back(m, ModelWeights::random(m, 7));
+    };
+    for (const auto &app : workloads::allApps()) {
+        if (app.id == workloads::AppId::ReId) {
+            // Conv2D: evaluated one feature at a time; keep it short.
+            for (std::size_t n : {1, 17})
+                expectBatchMatchesScalar(
+                    app.scn, ModelWeights::random(app.scn, 7), n, 11);
+        } else {
+            add(app.scn);
+        }
+        add(app.qcn);
+    }
+    // The semantic weights perfbench scores with.
+    const auto textqa = workloads::makeApp(workloads::AppId::TextQA);
+    const auto tir = workloads::makeApp(workloads::AppId::TIR);
+    models.emplace_back(textqa.scn, semanticWeights(textqa.scn));
+    models.emplace_back(tir.qcn, semanticWeights(tir.qcn));
+
+    Model dot("dot-scn", 128, false);
+    dot.addLayer(Layer::elementWise("dot", EwOp::DotProduct, 128));
+    add(dot);
+    for (EwOp op : {EwOp::Add, EwOp::Subtract, EwOp::Multiply}) {
+        Model m(std::string("ew-") + toString(op), 24, false);
+        m.addLayer(Layer::elementWise("fuse", op, 24));
+        m.addLayer(Layer::fc("fc", 24, 5, Activation::Sigmoid));
+        add(m);
+    }
+    // FC straight on the DFV and on concat(QFV, DFV); odd widths and
+    // every output collapse (1: sigmoid, 2: softmax, 3: mean).
+    std::int64_t outs = 1;
+    for (bool concat : {false, true}) {
+        for (bool bias : {false, true}) {
+            for (Activation act : {Activation::None, Activation::ReLU,
+                                   Activation::Sigmoid}) {
+                Model m(std::string("fc-") + toString(act) +
+                            (bias ? "-bias" : "") +
+                            (concat ? "-concat" : ""),
+                        24, concat);
+                m.addLayer(Layer::fc("fc1", concat ? 48 : 24, 7, act,
+                                     bias));
+                m.addLayer(Layer::fc("fc2", 7, outs, act, bias));
+                add(m);
+                outs = outs % 3 + 1;
+            }
+        }
+    }
+    std::uint64_t seed = 100;
+    for (const auto &[m, w] : models)
+        for (std::size_t n : sizes)
+            expectBatchMatchesScalar(m, w, n, ++seed);
 }
 
 } // namespace
