@@ -1,18 +1,22 @@
 /**
  * @file
- * Ablation: FLASH_DFV prefetch-queue depth (§4.4, Fig. 5), using the
- * event-driven accelerator pipeline over the real flash controller —
- * with and without read-retry failure injection. A depth-1 queue
- * serializes flash and compute on every burst; a modest queue hides
- * both the steady latency and injected retry outliers.
+ * Ablation: FLASH_DFV prefetch-queue depth (§4.4, Fig. 5), on the
+ * live engine: one channel-level scan on a one-channel DeepStore,
+ * submitted straight to the node's QueryScheduler over its real
+ * flash controller — with and without read-retry failure injection.
+ * Weights are held resident so the flash/compute pipeline is
+ * isolated. A depth-1 queue serializes flash and compute on every
+ * burst; a modest queue hides both the steady latency and injected
+ * retry outliers.
  */
 
 #include <iostream>
 
 #include "bench_common.h"
 #include "common/table.h"
-#include "core/accel_pipeline.h"
 #include "core/query_model.h"
+#include "sim/clock.h"
+#include "support/fixtures.h"
 #include "workloads/apps.h"
 
 using namespace deepstore;
@@ -23,24 +27,19 @@ double
 runDepth(const workloads::AppInfo &app, std::uint32_t depth,
          double retry_probability)
 {
-    ssd::FlashParams params;
-    params.readRetryProbability = retry_probability;
-    sim::EventQueue events;
-    StatGroup stats("ablation");
-    ssd::FlashController channel(events, params, 0, stats);
-
     core::DeepStoreModel model{ssd::FlashParams{}};
     auto perf = model.evaluate(core::Level::ChannelLevel, app);
+    const Tick burst =
+        sim::Clock(perf.placement.array.frequencyHz)
+            .cyclesToTicks(perf.modelRun.totalCycles());
 
-    core::PipelineRunConfig cfg;
-    cfg.features = 3000;
-    cfg.featureBytes = app.featureBytes();
-    cfg.computeCyclesPerFeature = perf.modelRun.totalCycles();
-    cfg.frequencyHz = perf.placement.array.frequencyHz;
-    cfg.queueDepthPages = depth;
-    auto run = core::runAcceleratorPipeline(events, channel, params,
-                                            cfg);
-    return run.perFeatureSeconds();
+    ssd::FlashParams params;
+    params.readRetryProbability = retry_probability;
+    const std::uint64_t features = 3000;
+    ChannelScanRun run = scanOneChannel(params, features,
+                                        app.featureBytes(), {burst},
+                                        depth);
+    return ticksToSeconds(run.ticks) / static_cast<double>(features);
 }
 
 } // namespace

@@ -85,9 +85,9 @@ struct LevelPerf
 
 /**
  * Per-feature compute bursts (one per model layer) of `perf`'s model
- * run lowered onto the placement's array clock. Both the live
- * scheduler and the standalone AccelPipeline consume this exact
- * lowering, so the two paths agree tick-for-tick by construction.
+ * run lowered onto the placement's array clock: the compute leg every
+ * live scan submission (QuerySubmission::layerBurstTicksPerFeature)
+ * replays on its unit's ComputeArbiter.
  */
 std::vector<Tick> layerBurstTicks(const LevelPerf &perf);
 

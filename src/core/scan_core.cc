@@ -239,11 +239,9 @@ GroupScan::pump()
             if (m.features <= pos)
                 continue;
             Tick burst_done = ready_at;
-            for (Tick lt : m.layerBurstTicks) {
-                const Tick cost = lt * static_cast<Tick>(take);
-                burst_done = arbiter_.acquire(burst_done, cost);
-                computeBusyTicks_ += cost;
-            }
+            for (Tick lt : m.layerBurstTicks)
+                burst_done = arbiter_.acquire(
+                    burst_done, lt * static_cast<Tick>(take));
             slot_done = std::max(slot_done, burst_done);
         }
         stationDone_.push_back(slot_done);

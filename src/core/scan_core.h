@@ -37,11 +37,10 @@
  * the burst barrier holds, and the DfvStream records real
  * backpressure on flash delivery.
  *
- * Both the live query scheduler (one GroupScan per co-resident
- * same-database scan group per accelerator unit) and the standalone
- * AccelPipeline (a single-member group) are built on this type, so
- * the two paths agree tick-for-tick by construction — the
- * cross-validation the test suite asserts.
+ * The live query scheduler runs one GroupScan per co-resident
+ * same-database scan group per accelerator unit; a lone scan is a
+ * single-member group, which is how the queue-depth ablation and the
+ * pipeline tests drive it.
  */
 
 #ifndef DEEPSTORE_CORE_SCAN_CORE_H
@@ -251,17 +250,6 @@ class GroupScan
      */
     void abort();
 
-    // ---- run statistics ------------------------------------------
-
-    /** Ticks the group waited on flash with the array willing. */
-    Tick starvedTicks() const { return starvedTicks_; }
-
-    /** Ticks compute waited on the slot weight feed. */
-    Tick weightStallTicks() const { return weightStallTicks_; }
-
-    /** Ticks of array time this group's runs reserved. */
-    Tick computeBusyTicks() const { return computeBusyTicks_; }
-
     /** Current contention counters (also handed to onMemberDone). */
     ScanGroupSnapshot snapshot() const;
 
@@ -310,7 +298,6 @@ class GroupScan
     Tick idleSince_ = 0;
     Tick starvedTicks_ = 0;
     Tick weightStallTicks_ = 0;
-    Tick computeBusyTicks_ = 0;
 };
 
 } // namespace deepstore::core

@@ -7,6 +7,35 @@
 
 namespace deepstore::core {
 
+namespace {
+
+/** Fill the response-time summary of `stats` (mean, nearest-rank
+ *  p50/p95/p99, max) and its miss rate from the per-query response
+ *  times of a non-empty replay; sorts `response`. */
+void
+summarize(std::vector<double> &response, std::uint64_t misses,
+          ReplayStats &stats)
+{
+    std::sort(response.begin(), response.end());
+    auto pct = [&](double p) {
+        auto idx = static_cast<std::size_t>(
+            p * static_cast<double>(response.size() - 1));
+        return response[idx];
+    };
+    double sum = 0.0;
+    for (double r : response)
+        sum += r;
+    stats.meanSeconds = sum / static_cast<double>(response.size());
+    stats.p50Seconds = pct(0.50);
+    stats.p95Seconds = pct(0.95);
+    stats.p99Seconds = pct(0.99);
+    stats.maxSeconds = response.back();
+    stats.missRate = static_cast<double>(misses) /
+                     static_cast<double>(response.size());
+}
+
+} // namespace
+
 ReplayStats
 replayTraceClosedForm(const workloads::QueryTrace &trace,
                       const ReplayService &service, QueryCache *cache)
@@ -48,22 +77,7 @@ replayTraceClosedForm(const workloads::QueryTrace &trace,
         response.push_back(finish - rec.arrivalSeconds);
     }
 
-    std::sort(response.begin(), response.end());
-    auto pct = [&](double p) {
-        auto idx = static_cast<std::size_t>(
-            p * static_cast<double>(response.size() - 1));
-        return response[idx];
-    };
-    double sum = 0.0;
-    for (double r : response)
-        sum += r;
-    stats.meanSeconds = sum / static_cast<double>(response.size());
-    stats.p50Seconds = pct(0.50);
-    stats.p95Seconds = pct(0.95);
-    stats.p99Seconds = pct(0.99);
-    stats.maxSeconds = response.back();
-    stats.missRate = static_cast<double>(misses) /
-                     static_cast<double>(trace.size());
+    summarize(response, misses, stats);
     double span = std::max(trace.durationSeconds(), server_free);
     stats.utilization = span > 0.0 ? busy / span : 0.0;
     stats.throughput =
@@ -132,22 +146,7 @@ replayTrace(DeepStore &store, const workloads::QueryTrace &trace,
                   static_cast<unsigned long long>(trace.size()));
     }
 
-    std::sort(response.begin(), response.end());
-    auto pct = [&](double p) {
-        auto idx = static_cast<std::size_t>(
-            p * static_cast<double>(response.size() - 1));
-        return response[idx];
-    };
-    double sum = 0.0;
-    for (double r : response)
-        sum += r;
-    stats.meanSeconds = sum / static_cast<double>(response.size());
-    stats.p50Seconds = pct(0.50);
-    stats.p95Seconds = pct(0.95);
-    stats.p99Seconds = pct(0.99);
-    stats.maxSeconds = response.back();
-    stats.missRate = static_cast<double>(misses) /
-                     static_cast<double>(trace.size());
+    summarize(response, misses, stats);
 
     double busy_after =
         store.ledger().componentSeconds(TimeComponent::Scan) +

@@ -184,8 +184,7 @@ class DfvStreamService
 
     /**
      * @param route maps a channel id to its FlashController (the
-     * SSD's controller array, or a single-controller shim for
-     * standalone pipeline runs).
+     * SSD's controller array).
      */
     DfvStreamService(sim::EventQueue &events, Router route,
                      StatGroup &stats);

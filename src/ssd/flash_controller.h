@@ -81,8 +81,6 @@ class FlashController
     /** Issue a command now; completion arrives via the event queue. */
     void issue(FlashCommand cmd);
 
-    std::uint32_t channelId() const { return channelId_; }
-
     /** The channel bus as a shared-bandwidth link (NoC leg of the
      *  accelerator complex); waitTicks() is the channel's NoC
      *  contention counter. */

@@ -12,8 +12,8 @@
  * residency window).
  *
  * The analytic model (query_model.cc) keeps using the scalar
- * quotients; the live scheduler and AccelPipeline consume this
- * schedule, and the parity tests pin the two against each other.
+ * quotients; the live scheduler consumes this schedule, and the
+ * parity tests pin the two against each other.
  */
 
 #ifndef DEEPSTORE_SYSTOLIC_SLOT_SCHEDULE_H

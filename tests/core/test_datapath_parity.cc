@@ -1,13 +1,14 @@
 /**
  * @file
  * Cross-validation of the event-native accelerator datapath (ctest
- * label `parity`): the live engine, the standalone AccelPipeline, and
- * the closed-form DeepStoreModel must agree on the same machine.
+ * label `parity`): the live engine and the closed-form DeepStoreModel
+ * must agree on the same machine.
  *
- *  - tick-for-tick: a one-channel live scan is the *same machine* as
- *    a standalone AccelPipeline run — equality, not a tolerance band
- *    (the only difference, the scheduler's scheduled top-K reduce
- *    gather, is subtracted exactly);
+ *  - tick-for-tick: a one-channel live querySync is the same scan the
+ *    one-channel pipeline fixture (scanOneChannel) submits to the
+ *    node's scheduler — equality, not a tolerance band (the only
+ *    difference, the scheduled top-K reduce gather, is subtracted
+ *    exactly), with the scan's ticks pinned as a drift guard;
  *  - contention: scans physically share channels with host I/O, and
  *    only the shared channel pays;
  *  - analytic parity: a lone steady-state query matches the analytic
@@ -16,6 +17,9 @@
  *    geometries — the burst-refill exposure, the bounded-FIFO
  *    backpressure, and the per-slot weight re-streaming must *emerge*
  *    from the event datapath, not be added as formulas;
+ *  - pipeline cross-validation: for all five applications the
+ *    one-channel scan's per-feature time is within 15% of the
+ *    analytic flash/compute bound;
  *  - determinism: the backpressure-coupled datapath is a pure
  *    function of its seeds (16-seed sweep, bit-identical ticks and
  *    contention counters on a rebuilt engine).
@@ -24,10 +28,11 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "core/accel_pipeline.h"
 #include "core/deepstore.h"
 #include "core/query_model.h"
+#include "sim/clock.h"
 #include "support/fixtures.h"
+#include "workloads/apps.h"
 
 namespace deepstore::core {
 namespace {
@@ -46,17 +51,18 @@ fatModel(std::int64_t dim, std::int64_t out)
     return nn::ModelBundle{std::move(m), std::move(w)};
 }
 
-// ---- live engine vs standalone pipeline --------------------------
+// ---- live query vs the one-channel pipeline fixture --------------
 
-TEST(UnifiedDatapath, LiveScanMatchesStandalonePipelineTickForTick)
+TEST(UnifiedDatapath, LiveQueryMatchesOneChannelScanTickForTick)
 {
-    // On a one-channel SSD a single-resident channel-level scan and
-    // the standalone AccelPipeline run are the same machine: same
-    // page addresses (Geometry::decode degenerates to the pipeline's
-    // round-robin layout), same DFV burst stream, same compute
-    // arbiter. Latency must agree tick for tick — not approximately.
-    // The live path's one extra scheduled event, the top-K reduce
-    // gather over the DRAM link, is subtracted exactly.
+    // On a one-channel SSD, DeepStore::query lowers a single-resident
+    // channel-level scan to exactly the submission scanOneChannel
+    // hands the node's scheduler: Table-3 placement and FLASH_DFV
+    // depth, the plan resolved through the node's FTL, the model's
+    // layer bursts, resident weights. Latency must agree tick for
+    // tick — not approximately. The live path's one extra scheduled
+    // event, the top-K reduce gather over the DRAM link, is
+    // subtracted exactly.
     ssd::FlashParams flash;
     flash.channels = 1;
     DeepStoreConfig cfg;
@@ -73,35 +79,26 @@ TEST(UnifiedDatapath, LiveScanMatchesStandalonePipelineTickForTick)
         Level::ChannelLevel, dotModel(dim).model,
         ds.databaseInfo(db).featureBytes);
     ASSERT_TRUE(perf.supported);
+    ASSERT_EQ(perf.excessWeightBytesPerSlot, 0u);
 
     std::uint64_t qid = ds.querySync(src->featureAt(2), 4, model, db,
                                      0, 0, Level::ChannelLevel);
     const QueryScheduler &sched = ds.array().node(0).scheduler();
     const QueryRunStats rs = sched.runStats(qid);
-    EXPECT_GT(rs.reduceTicks, 0u);
+    EXPECT_EQ(rs.reduceTicks, 4'800u);
     const Tick live_ticks = sched.completeTick(qid) -
                             sched.submitTick(qid) - rs.reduceTicks;
+    EXPECT_EQ(live_ticks, 2'125'420'000u);
 
-    // The same scan on a standalone controller and private queue.
-    sim::EventQueue events;
-    StatGroup stats{"xval"};
-    ssd::FlashController channel(events, flash, 0, stats);
-    PipelineRunConfig pcfg;
-    pcfg.features = features;
-    pcfg.featureBytes = ds.databaseInfo(db).featureBytes;
-    for (const auto &b : perf.slots.bursts)
-        pcfg.layerCycles.push_back(b.computeCycles);
-    pcfg.frequencyHz = perf.placement.array.frequencyHz;
-    pcfg.queueDepthPages = perf.placement.dfvQueueDepthPages;
-    PipelineRunStats st =
-        runAcceleratorPipeline(events, channel, flash, pcfg);
-
-    EXPECT_EQ(st.featuresProcessed, features);
-    EXPECT_EQ(st.pageReads, features); // full-page features
-    EXPECT_DOUBLE_EQ(ticksToSeconds(live_ticks), st.totalSeconds);
+    ChannelScanRun run = scanOneChannel(
+        flash, features, ds.databaseInfo(db).featureBytes,
+        layerBurstTicks(perf), perf.placement.dfvQueueDepthPages);
+    EXPECT_EQ(run.features, features);
+    EXPECT_EQ(run.pagesStreamed, features); // full-page features
+    EXPECT_EQ(run.ticks, live_ticks);
     EXPECT_DOUBLE_EQ(ds.getResults(qid).latencySeconds -
                          ticksToSeconds(rs.reduceTicks),
-                     st.totalSeconds);
+                     ticksToSeconds(run.ticks));
 }
 
 // ---- physical contention -----------------------------------------
@@ -279,6 +276,56 @@ TEST(AnalyticParity, WeightBoundQueryMatchesModelWithWeightStalls)
     // Compute sat waiting on the slot weight feed.
     EXPECT_GT(res.computeStallSeconds, 0.0);
 }
+
+/**
+ * Cross-validation: the closed-form channel-level model and the
+ * one-channel live scan agree on per-feature time within 15% for all
+ * five applications (compute leg fed from the same systolic model,
+ * weights held resident to isolate the flash/compute pipeline).
+ */
+class PipelineXVal : public ::testing::TestWithParam<workloads::AppId>
+{
+};
+
+TEST_P(PipelineXVal, AnalyticModelMatchesEventModel)
+{
+    auto app = workloads::makeApp(GetParam());
+    ssd::FlashParams params;
+    DeepStoreModel model(params);
+    auto perf = model.evaluate(Level::ChannelLevel, app);
+
+    const std::uint64_t features = 1000;
+    const std::uint32_t depth = perf.placement.dfvQueueDepthPages;
+    const Tick burst =
+        sim::Clock(perf.placement.array.frequencyHz)
+            .cyclesToTicks(perf.modelRun.totalCycles());
+    ChannelScanRun run = scanOneChannel(params, features,
+                                        app.featureBytes(), {burst},
+                                        depth);
+    const double per_feature =
+        ticksToSeconds(run.ticks) / static_cast<double>(features);
+
+    // Compare against the analytic per-accelerator time without the
+    // weight-stream leg (the scan models flash + compute only).
+    double analytic =
+        std::max(perf.computeSeconds, perf.flashSeconds) +
+        params.readLatency *
+            (static_cast<double>(app.featureBytes()) /
+             static_cast<double>(params.pageBytes)) /
+            depth;
+    EXPECT_NEAR(per_feature / analytic, 1.0, 0.15)
+        << app.name << ": event " << per_feature * 1e6
+        << " us vs analytic " << analytic * 1e6 << " us";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllApps, PipelineXVal,
+    ::testing::Values(workloads::AppId::ReId, workloads::AppId::MIR,
+                      workloads::AppId::ESTP, workloads::AppId::TIR,
+                      workloads::AppId::TextQA),
+    [](const auto &info) {
+        return std::string(workloads::toString(info.param));
+    });
 
 // ---- determinism under backpressure ------------------------------
 

@@ -2,7 +2,9 @@
  * @file
  * Tests for the asynchronous query scheduler: multi-query in-flight
  * execution, latency parity with the analytic model, event-clock time
- * accounting, and cross-run determinism.
+ * accounting, cross-run determinism, and the FLASH_DFV pipeline of a
+ * single channel scan (queue depth, flash- vs compute-bound, read
+ * retries).
  */
 
 #include <sstream>
@@ -12,6 +14,8 @@
 
 #include "common/logging.h"
 #include "core/deepstore.h"
+#include "sim/clock.h"
+#include "ssd/throughput.h"
 #include "support/fixtures.h"
 
 namespace deepstore::core {
@@ -257,6 +261,80 @@ TEST(AsyncQuery, SchedulerQueuesBeyondResidencyLimit)
     EXPECT_GT(latency[2], 1.5 * latency[1]);
     EXPECT_LT(latency[3], 1.1 * latency[2]);
     EXPECT_GT(latency[4], 1.2 * latency[3]);
+}
+
+// ---- one channel scan: the FLASH_DFV pipeline (Fig. 5) ----------
+
+/** One per-feature compute burst of `cycles` on an 800 MHz array. */
+std::vector<Tick>
+burstOf(Cycles cycles)
+{
+    return {sim::Clock(800e6).cyclesToTicks(cycles)};
+}
+
+TEST(DfvPipeline, ProcessesEveryFeature)
+{
+    // 2 KiB features: 8 per page.
+    ChannelScanRun run =
+        scanOneChannel({}, 500, 2048, burstOf(2000), 32);
+    EXPECT_EQ(run.features, 500u);
+    EXPECT_EQ(run.pagesStreamed, (500u + 7) / 8);
+    EXPECT_GT(run.ticks, 0u);
+}
+
+TEST(DfvPipeline, ComputeBoundRunApproachesComputeTime)
+{
+    // 20000 cycles = 25 us/feature at 800 MHz.
+    ChannelScanRun run =
+        scanOneChannel({}, 2000, 2048, burstOf(20000), 32);
+    const double total = ticksToSeconds(run.ticks);
+    const double compute_only = 2000 * 25e-6;
+    EXPECT_NEAR(total, compute_only, 0.03 * compute_only);
+    // Flash hides almost entirely behind compute.
+    EXPECT_LT(ticksToSeconds(run.stats.computeStallTicks),
+              0.02 * total);
+}
+
+TEST(DfvPipeline, FlashBoundRunMatchesChannelRate)
+{
+    // One full page per feature, trivially cheap compute.
+    ssd::FlashParams flash;
+    ChannelScanRun run =
+        scanOneChannel(flash, 2000, 16384, burstOf(100), 32);
+    const double total = ticksToSeconds(run.ticks);
+    const double flash_only =
+        2000 / ssd::channelFeatureRate(flash, 16384);
+    EXPECT_NEAR(total, flash_only, 0.10 * flash_only);
+    EXPECT_GT(ticksToSeconds(run.stats.computeStallTicks),
+              0.5 * total);
+}
+
+TEST(DfvPipeline, DeeperQueueNeverHurts)
+{
+    double prev = 1e9;
+    for (std::uint32_t depth : {1u, 4u, 16u, 64u}) {
+        ChannelScanRun run =
+            scanOneChannel({}, 1000, 16384, burstOf(15000), depth);
+        const double total = ticksToSeconds(run.ticks);
+        EXPECT_LE(total, prev * 1.001) << depth;
+        prev = total;
+    }
+}
+
+TEST(DfvPipeline, RetryInjectionSlowsTheScan)
+{
+    ssd::FlashParams faulty;
+    faulty.readRetryProbability = 0.05;
+    faulty.readRetryPenalty = 4.0;
+    ChannelScanRun base =
+        scanOneChannel({}, 1500, 16384, burstOf(500), 32);
+    ChannelScanRun slow =
+        scanOneChannel(faulty, 1500, 16384, burstOf(500), 32);
+    EXPECT_GT(slow.ticks, base.ticks);
+    EXPECT_GT(slow.readRetries, 0.0);
+    // A deep queue largely hides sparse retries.
+    EXPECT_LT(static_cast<double>(slow.ticks),
+              1.30 * static_cast<double>(base.ticks));
 }
 
 } // namespace

@@ -9,7 +9,10 @@
  *    (compute-heavy; fully resident at dim 512);
  *  - randomDb: `count` generated features of width `dim`;
  *  - homogeneous: n identical node geometries for an array config;
- *  - drainAll: run an engine's event queue dry.
+ *  - drainAll: run an engine's event queue dry;
+ *  - scanOneChannel: one channel-level scan on a one-channel engine,
+ *    submitted straight to node 0's QueryScheduler (the FLASH_DFV
+ *    pipeline of Fig. 5 in isolation).
  *
  * Weights are seeded, so every caller sees the same model bits.
  */
@@ -23,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/deepstore.h"
 #include "core/feature_source.h"
 #include "nn/serialize.h"
@@ -72,6 +76,67 @@ drainAll(core::DeepStore &ds)
 {
     while (ds.step()) {
     }
+}
+
+/** What scanOneChannel measured. */
+struct ChannelScanRun
+{
+    /** Completion tick - submit tick of the scan. */
+    Tick ticks = 0;
+    core::QueryRunStats stats;
+    /** Features scanned from good pages. */
+    std::uint64_t features = 0;
+    std::uint64_t pagesStreamed = 0;
+    double readRetries = 0.0;
+};
+
+/**
+ * Scan `features` generated features of `feature_bytes` each at
+ * channel level on a one-channel DeepStore over `flash`, with a
+ * `depth`-page FLASH_DFV queue and `layer_bursts` of compute per
+ * feature. The scan goes straight to node 0's QueryScheduler with
+ * weights held resident and a free reduce, so its ticks are the
+ * flash/compute pipeline alone.
+ */
+inline ChannelScanRun
+scanOneChannel(ssd::FlashParams flash, std::uint64_t features,
+               std::uint64_t feature_bytes,
+               std::vector<Tick> layer_bursts, std::uint32_t depth)
+{
+    flash.channels = 1;
+    core::DeepStoreConfig cfg;
+    cfg.flash = flash;
+    core::DeepStore ds(cfg);
+    const std::uint64_t db = ds.writeDB(randomDb(
+        static_cast<std::int64_t>(feature_bytes / kBytesPerFloat),
+        features, 1));
+    core::SsdNode &node = ds.array().node(0);
+    const core::SubTarget t =
+        ds.array().shardMap().overlap(db, 0, features).targets.at(0);
+    core::Placement placement =
+        core::makePlacement(core::Level::ChannelLevel, node.flash());
+    placement.dfvQueueDepthPages = depth;
+
+    core::QuerySubmission sub;
+    sub.queryId = 1;
+    sub.plan = node.resolvePlan(placement, t.localMd, t.localStart,
+                                t.localEnd);
+    sub.layerBurstTicksPerFeature = std::move(layer_bursts);
+    sub.weightBytesPerSlot = 0; // resident: isolate flash + compute
+    bool done = false;
+    sub.finalize = [&done] { done = true; };
+    core::QueryScheduler &sched = node.scheduler();
+    sched.submit(std::move(sub));
+    while (!done && ds.step()) {
+    }
+    if (!done)
+        panic("one-channel scan stalled");
+
+    return {sched.completeTick(1) - sched.submitTick(1),
+            sched.runStats(1), sched.coveredFeatures(1),
+            static_cast<std::uint64_t>(
+                node.stats().get("dfv.pagesStreamed").value()),
+            node.stats().get("flash.readRetries").value()};
 }
 
 } // namespace deepstore
